@@ -63,13 +63,11 @@ class DynamicBatcher:
         self.max_batch = max_batch
         self.max_wait_cycles = max_wait_cycles
         self._open: dict[str, _OpenBatch] = {}
+        #: Requests admitted but not yet dispatched: the sum of the open
+        #: batches' sizes, kept in step by every method that changes them.
+        self.waiting = 0
 
     # -- state ---------------------------------------------------------
-
-    @property
-    def waiting(self) -> int:
-        """Requests admitted but not yet dispatched."""
-        return sum(len(b.requests) for b in self._open.values())
 
     def kind_depth(self, kind: str) -> int:
         """Open-batch residents of one kind (the per-kind queue depth
@@ -89,6 +87,7 @@ class DynamicBatcher:
         """Evict one open request (it is being shed)."""
         b = self._open[request.kind]
         b.requests.remove(request)
+        self.waiting -= 1
         if not b.requests:
             del self._open[request.kind]
 
@@ -102,8 +101,10 @@ class DynamicBatcher:
                            deadline=request.arrival + self.max_wait_cycles)
             self._open[request.kind] = b
         b.requests.append(request)
+        self.waiting += 1
         if len(b.requests) >= self.max_batch:
             del self._open[request.kind]
+            self.waiting -= len(b.requests)
             return Batch(kind=b.kind, requests=b.requests,
                          close=request.arrival)
         return None
@@ -111,13 +112,14 @@ class DynamicBatcher:
     def due(self, now: float) -> list[Batch]:
         """Close and return every open batch whose deadline has passed,
         in (deadline, kind) order so ties break deterministically."""
-        ready = sorted(
-            (b for b in self._open.values() if b.deadline <= now),
-            key=lambda b: (b.deadline, b.kind),
-        )
+        ready = [b for b in self._open.values() if b.deadline <= now]
+        if not ready:
+            return []
+        ready.sort(key=lambda b: (b.deadline, b.kind))
         out = []
         for b in ready:
             del self._open[b.kind]
+            self.waiting -= len(b.requests)
             out.append(Batch(kind=b.kind, requests=b.requests, close=b.deadline))
         return out
 
@@ -125,5 +127,6 @@ class DynamicBatcher:
         """Close every remaining open batch at its deadline (end of trace)."""
         ready = sorted(self._open.values(), key=lambda b: (b.deadline, b.kind))
         self._open.clear()
+        self.waiting = 0
         return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
                 for b in ready]

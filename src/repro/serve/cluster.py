@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
 from repro.serve.failures import ChipFailureTimeline
 from repro.serve.fleet import FleetSimulator, RequestRecord
@@ -500,7 +500,9 @@ class ClusterSimulator:
             for rec in res.records:
                 merged[rec.rid] = rec
         missing = [r.rid for r in requests if r.rid not in merged]
-        assert not missing, f"requests lost without accounting: {missing}"
+        if missing:
+            raise SimulationError(
+                f"requests lost without accounting: {missing}")
         records = []
         failover_expired = 0
         for rid in sorted(merged):

@@ -50,7 +50,9 @@ Tests script exact lifecycles by passing explicit windows to
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from repro.errors import ConfigError
 from repro.faults.injector import stream_seed
@@ -169,6 +171,28 @@ class FailureWindow:
     factor: float = 1.0
 
 
+_start = attrgetter("start")
+
+
+def _containing(windows: list[FailureWindow], t: float) -> FailureWindow | None:
+    """The window of a disjoint, start-sorted list containing ``t``."""
+    i = bisect_right(windows, t, key=_start)
+    if i:
+        w = windows[i - 1]
+        if t < w.end:
+            return w
+    return None
+
+
+def _first_start_in(windows: list[FailureWindow], t0: float,
+                    t1: float) -> FailureWindow | None:
+    """The first window of a start-sorted list starting in ``(t0, t1)``."""
+    i = bisect_right(windows, t0, key=_start)
+    if i < len(windows) and windows[i].start < t1:
+        return windows[i]
+    return None
+
+
 class ChipFailureTimeline:
     """The physical failure schedule of every chip, generated lazily.
 
@@ -216,11 +240,11 @@ class ChipFailureTimeline:
         """Generate windows for ``(chip, kind)`` until coverage passes ``t``."""
         key = (chip, kind)
         windows = self._windows.setdefault(key, [])
-        chips, mtbf, mean_dur, factor = self._params(kind)
-        if chip not in chips:
-            return windows
         covered = self._covered.get(key, 0.0)
         if covered > t:
+            return windows
+        chips, mtbf, mean_dur, factor = self._params(kind)
+        if chip not in chips:
             return windows
         rng = self._rngs.get(key)
         if rng is None:
@@ -268,19 +292,19 @@ class ChipFailureTimeline:
 
     # -- queries (ground truth) ----------------------------------------
 
+    # Windows of one (chip, kind) or one domain are disjoint and sorted
+    # by start, so the only window that can contain ``t`` is the last one
+    # starting at or before it: every lookup is a bisect on start times.
+
     def _window_at(self, chip: int, kind: str, t: float) -> FailureWindow | None:
-        for w in self._ensure(chip, kind, t):
-            if w.start <= t < w.end:
-                return w
-            if w.start > t:
-                break
+        w = _containing(self._ensure(chip, kind, t), t)
+        if w is not None:
+            return w
         if self.config.domain_mode == kind:
             for idx in self._chip_domains.get(chip, ()):
-                for w in self._ensure_domain(idx, t):
-                    if w.start <= t < w.end:
-                        return w
-                    if w.start > t:
-                        break
+                w = _containing(self._ensure_domain(idx, t), t)
+                if w is not None:
+                    return w
         return None
 
     def down_at(self, chip: int, t: float) -> FailureWindow | None:
@@ -295,24 +319,14 @@ class ChipFailureTimeline:
         down = self.down_at(chip, t0)
         if down is not None:
             return down
-        candidates = []
-        for w in self._ensure(chip, "fail-stop", t1):
-            if t0 < w.start < t1:
-                candidates.append(w)
-                break
-            if w.start >= t1:
-                break
+        candidates = [_first_start_in(self._ensure(chip, "fail-stop", t1),
+                                      t0, t1)]
         if self.config.domain_mode == "fail-stop":
-            for idx in self._chip_domains.get(chip, ()):
-                for w in self._ensure_domain(idx, t1):
-                    if t0 < w.start < t1:
-                        candidates.append(w)
-                        break
-                    if w.start >= t1:
-                        break
-        if not candidates:
-            return None
-        return min(candidates, key=lambda w: w.start)
+            candidates += [
+                _first_start_in(self._ensure_domain(idx, t1), t0, t1)
+                for idx in self._chip_domains.get(chip, ())]
+        return min((w for w in candidates if w is not None),
+                   key=_start, default=None)
 
     def slow_factor_at(self, chip: int, t: float) -> float:
         """Service-time multiplier at ``t`` (1.0 when healthy).  The
@@ -322,11 +336,9 @@ class ChipFailureTimeline:
         factor = w.factor if w is not None else 1.0
         if self.config.domain_mode == "fail-slow":
             for idx in self._chip_domains.get(chip, ()):
-                for dw in self._ensure_domain(idx, t):
-                    if dw.start <= t < dw.end:
-                        factor = max(factor, dw.factor)
-                    if dw.start > t:
-                        break
+                dw = _containing(self._ensure_domain(idx, t), t)
+                if dw is not None:
+                    factor = max(factor, dw.factor)
         return factor
 
     # -- domain ground truth (chaos invariants, reporting) -------------
@@ -339,17 +351,16 @@ class ChipFailureTimeline:
         """The domain outage window covering ``chip`` at ``t``, if any
         (regardless of domain mode)."""
         for idx in self._chip_domains.get(chip, ()):
-            for w in self._ensure_domain(idx, t):
-                if w.start <= t < w.end:
-                    return w
-                if w.start > t:
-                    break
+            w = _containing(self._ensure_domain(idx, t), t)
+            if w is not None:
+                return w
         return None
 
     def domain_windows_until(self, idx: int, t: float) -> list[FailureWindow]:
         """Every outage window of domain ``idx`` starting at or before
         ``t`` (ground truth for invariant sweeps)."""
-        return [w for w in self._ensure_domain(idx, t) if w.start <= t]
+        windows = self._ensure_domain(idx, t)
+        return windows[:bisect_right(windows, t, key=_start)]
 
     def transient_at(self, chip: int, t: float) -> bool:
         """True when the chip serves from the degraded cost column at ``t``."""
@@ -358,6 +369,16 @@ class ChipFailureTimeline:
     @property
     def uses_degraded_column(self) -> bool:
         return bool(self.config.transient_chips)
+
+
+def _check_disjoint(windows: list[FailureWindow], owner: str) -> None:
+    """Reject overlapping episodes: the timeline's bisect lookups rely on
+    the windows of one chip and kind, or of one domain, being disjoint."""
+    for prev, w in zip(windows, windows[1:]):
+        if w.start < prev.end:
+            raise ConfigError(
+                f"{owner}: window [{w.start:g}, {w.end:g}) overlaps "
+                f"[{prev.start:g}, {prev.end:g})")
 
 
 def scripted_timeline(chips: int,
@@ -370,7 +391,9 @@ def scripted_timeline(chips: int,
     ``windows`` maps chip id -> episodes; each chip's list is sorted and
     coverage is marked complete so no random draws ever happen.  When
     ``domains`` is given, ``domain_windows`` maps domain index ->
-    scripted outage episodes shared by every member chip.
+    scripted outage episodes shared by every member chip.  Episodes of
+    one chip and kind, or of one domain, must not overlap
+    (:class:`ConfigError` otherwise), as drawn ones never do.
     """
     config = FailureConfig(domains=domains, domain_mode=domain_mode)
     timeline = ChipFailureTimeline(config, chips)
@@ -382,6 +405,7 @@ def scripted_timeline(chips: int,
                 raise ConfigError(f"unknown failure kind {w.kind!r}")
             per_kind[w.kind].append(w)
         for kind in FAILURE_KINDS:
+            _check_disjoint(per_kind[kind], f"chip {chip} {kind}")
             timeline._windows[(chip, kind)] = per_kind[kind]
             timeline._covered[(chip, kind)] = inf
     for idx in range(len(domains)):
@@ -391,6 +415,7 @@ def scripted_timeline(chips: int,
             if w.kind != domain_mode:
                 raise ConfigError(
                     f"domain window kind {w.kind!r} != mode {domain_mode!r}")
+        _check_disjoint(scripted, f"domain {idx}")
         timeline._domain_windows[idx] = scripted
         timeline._domain_covered[idx] = inf
     return timeline

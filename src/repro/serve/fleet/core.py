@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import heapq
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.costmodel import ServiceCostTable
@@ -332,10 +332,12 @@ class FleetSimulator(DispatchMixin):
 
     def collect(self, requests: list[Request]) -> FleetResult:
         """Assemble the result for ``requests`` after finish()."""
+        missing = [r.rid for r in requests if r.rid not in self._records]
+        if missing:
+            raise SimulationError(
+                f"requests lost without accounting: {missing}")
         records = [self._records[r.rid] for r in
                    sorted(requests, key=lambda r: r.rid)]
-        missing = [r.rid for r in requests if r.rid not in self._records]
-        assert not missing, f"requests lost without accounting: {missing}"
         first = min((r.arrival for r in requests), default=0.0)
         last = max((b.finish for b in self._batches
                     if b.outcome == "served"),

@@ -156,9 +156,16 @@ def compute_metrics(records, batches, makespan_cycles: float,
         raise ConfigError("slo_cycles must be positive")
     records = list(records)
     batches = list(batches)
-    served = [r for r in records if _outcome(r) == "served"]
-    shed = sum(1 for r in records if _outcome(r) == "shed")
-    expired = sum(1 for r in records if _outcome(r) == "expired")
+    served = []
+    shed = expired = 0
+    for r in records:
+        outcome = _outcome(r)
+        if outcome == "served":
+            served.append(r)
+        elif outcome == "shed":
+            shed += 1
+        elif outcome == "expired":
+            expired += 1
     latencies = [r.latency for r in served]
     if served:
         p50, p95, p99, p999 = (percentile(latencies, p)

@@ -322,32 +322,32 @@ def write_json(payload: dict, path: str) -> None:
 
 
 def write_csv(runs, path: str) -> None:
-    """Per-request records of every mix, one row each."""
+    """Per-request records of every mix, one row each (``CSV_COLUMNS``).
+
+    A request that was not served leaves its batch, chip and timing cells
+    empty, except ``dispatch``.  Each row is one ``%`` format (times in
+    ``%g``, faster here than an f-string's ``:g`` fields) and is written
+    as it is built, so memory stays flat in the record count.
+    """
+    served_row = ("%s,%s,%s,%s,%g,false,served,%s,%s,%s,%s,%s,"
+                  "%g,%g,%g,%g,%g,%g,%g\n")
+    other_row = "%s,%s,%s,%s,%g,%s,%s,,,,,,%g,,,,,,\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for run in runs:
+            mix = run.workload.mix
             for r in run.fleet.records:
-                outcome = "shed" if r.shed else r.outcome
-                served = outcome == "served"
-                row = {
-                    "mix": run.workload.mix,
-                    "rid": r.rid,
-                    "kind": r.kind,
-                    "tile": r.tile,
-                    "arrival": f"{r.arrival:g}",
-                    "shed": str(r.shed).lower(),
-                    "outcome": outcome,
-                    "retries": r.retries if served else "",
-                    "hedged": str(r.hedged).lower() if served else "",
-                    "batch_id": r.batch_id if served else "",
-                    "chip": r.chip if served else "",
-                    "batch_size": r.batch_size if served else "",
-                    "dispatch": f"{r.dispatch:g}",
-                    "start": f"{r.start:g}" if served else "",
-                    "finish": f"{r.finish:g}" if served else "",
-                    "batch_wait": f"{r.batch_wait:g}" if served else "",
-                    "queue_wait": f"{r.queue_wait:g}" if served else "",
-                    "service": f"{r.service:g}" if served else "",
-                    "latency": f"{r.latency:g}" if served else "",
-                }
-                fh.write(",".join(str(row[c]) for c in CSV_COLUMNS) + "\n")
+                if r.shed or r.outcome != "served":
+                    fh.write(other_row % (
+                        mix, r.rid, r.kind, r.tile, r.arrival,
+                        "true" if r.shed else "false",
+                        "shed" if r.shed else r.outcome, r.dispatch))
+                    continue
+                arrival, dispatch = r.arrival, r.dispatch
+                start, finish = r.start, r.finish
+                fh.write(served_row % (
+                    mix, r.rid, r.kind, r.tile, arrival, r.retries,
+                    "true" if r.hedged else "false", r.batch_id, r.chip,
+                    r.batch_size, dispatch, start, finish,
+                    dispatch - arrival, start - dispatch, finish - start,
+                    finish - arrival))

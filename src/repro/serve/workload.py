@@ -26,10 +26,15 @@ Arrival processes (times are PE clock cycles at ``clock_ghz``):
 Every draw comes from one ``numpy`` Generator seeded with the workload
 seed, in a fixed order (gap, kind, tile per request), so a
 ``WorkloadConfig`` maps to exactly one arrival trace on every machine.
+That order has not changed since the first serving release: the kind
+draw reproduces ``Generator.choice`` from one ``random()`` call, and
+the draws stay scalar, so every trace recorded by an earlier build is
+reproduced byte for byte.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,27 +149,36 @@ def generate_requests(config: WorkloadConfig) -> list[Request]:
     kinds = [k for k in KINDS if k in weights]
     probs = np.array([weights[k] for k in kinds], dtype=np.float64)
     probs /= probs.sum()
+    # ``rng.choice(len(kinds), p=probs)`` without its per-call argument
+    # validation: numpy builds this CDF and searches one ``random()``
+    # draw in it with ``side="right"``, so the stream is unchanged.
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
 
+    exponential, random, integers = rng.exponential, rng.random, rng.integers
+    num_tiles = config.num_tiles
     base = config.mean_gap_cycles
     hot_gap = base / config.burst_factor
     # Chosen so equal expected requests per phase keep the mean at ``base``.
     cold_gap = 2.0 * base - hot_gap
+    poisson = config.arrival == "poisson"
 
     hot = True  # bursty traces open in a burst
     left = 0.0  # requests left in the current phase
     t = 0.0
     out: list[Request] = []
     for rid in range(config.requests):
-        if config.arrival == "poisson":
-            gap = rng.exponential(base)
+        if poisson:
+            gap = exponential(base)
         else:
             if left <= 0:
                 left = rng.geometric(1.0 / config.burst_len)
                 hot = not hot
             left -= 1
-            gap = rng.exponential(hot_gap if hot else cold_gap)
+            gap = exponential(hot_gap if hot else cold_gap)
         t += gap
-        kind = kinds[int(rng.choice(len(kinds), p=probs))]
-        tile = int(rng.integers(config.num_tiles))
+        kind = kinds[bisect_right(cdf, random())]
+        tile = int(integers(num_tiles))
         out.append(Request(rid=rid, kind=kind, tile=tile, arrival=t))
     return out

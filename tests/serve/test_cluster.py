@@ -9,9 +9,11 @@ when ``config.cluster`` is set, and a 1-shard cluster's per-mix payload
 is the standalone payload with the fleet section re-shaped.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.faults.injector import stream_seed
 from repro.serve.cluster import (
     ClusterConfig,
@@ -190,6 +192,19 @@ class TestRouting:
         # queue and the tie sends everything to shard 0.
         result = self._run("least-loaded")
         assert result.rollup()["shard_requests"] == [4, 0]
+
+    def test_a_request_no_shard_accounts_for_is_an_error(self, monkeypatch):
+        collect = FleetSimulator.collect
+
+        def drop_rid_2(shard, requests):
+            result = collect(shard, requests)
+            return replace(result, records=[r for r in result.records
+                                            if r.rid != 2])
+
+        monkeypatch.setattr(FleetSimulator, "collect", drop_rid_2)
+        with pytest.raises(SimulationError,
+                           match=r"requests lost without accounting: \[2\]"):
+            self._run("round-robin")
 
 
 class TestFailover:

@@ -112,6 +112,25 @@ class TestTimeline:
         with pytest.raises(ConfigError):
             scripted_timeline(1, {0: [FailureWindow("melt", 0.0, 1.0)]})
 
+    def test_scripted_rejects_overlapping_windows_of_one_kind(self):
+        with pytest.raises(ConfigError, match="chip 0 fail-stop"):
+            scripted_timeline(1, {0: [
+                FailureWindow("fail-stop", 250.0, 400.0),
+                FailureWindow("fail-stop", 100.0, 300.0)]})
+
+    def test_scripted_accepts_touching_and_cross_kind_windows(self):
+        timeline = scripted_timeline(2, {
+            # [start, end) episodes that only touch do not overlap.
+            0: [FailureWindow("fail-stop", 100.0, 200.0),
+                FailureWindow("fail-stop", 200.0, 300.0),
+                # Different kinds on one chip may overlap freely.
+                FailureWindow("fail-slow", 150.0, 250.0, factor=2.0)],
+            # The same span on another chip is a different timeline.
+            1: [FailureWindow("fail-stop", 100.0, 300.0)],
+        })
+        assert timeline.down_at(0, 200.0).start == 200.0
+        assert timeline.slow_factor_at(0, 160.0) == 2.0
+
 
 class TestResilienceConfig:
     def test_validation(self):
@@ -280,6 +299,13 @@ class TestCorrelatedDomains:
             assert t.slow_factor_at(chip, 150.0) == 3.0
             assert t.slow_factor_at(chip, 50.0) == 1.0
             assert t.down_at(chip, 150.0) is None  # nothing dies
+
+    def test_scripted_rejects_overlapping_domain_windows(self):
+        with pytest.raises(ConfigError, match="domain 0"):
+            scripted_timeline(
+                2, {}, domains=((0, 1),),
+                domain_windows={0: [FailureWindow("fail-stop", 100.0, 200.0),
+                                    FailureWindow("fail-stop", 199.0, 300.0)]})
 
     def test_scripted_rejects_mode_mismatched_domain_window(self):
         with pytest.raises(ConfigError, match="!= mode"):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.costmodel import ServiceCostTable
 from repro.serve.fleet import FleetSimulator, ServeConfig
 from repro.serve.workload import Request
@@ -173,3 +173,16 @@ def test_max_batch_beyond_table_range_raises():
 def test_degraded_chip_id_out_of_range_raises():
     with pytest.raises(ConfigError):
         _config(degraded_chips=(7,))
+
+
+def test_collect_reports_a_lost_request():
+    sim = FleetSimulator(_config(), _table())
+    requests = [_req(i, 10.0 * i) for i in range(3)]
+    sim.begin()
+    for req in requests:
+        sim.step(req)
+    sim.finish()
+    del sim._records[1]
+    with pytest.raises(SimulationError,
+                       match=r"requests lost without accounting: \[1\]"):
+        sim.collect(requests)
