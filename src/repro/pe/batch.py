@@ -1,30 +1,22 @@
 """Vectorized batch stepping for the ``"vector"`` fast path.
 
-Two mechanisms live here, both exact-by-construction (and empirically
-gated by ``repro.perf.bench --compare`` plus
-``tests/perf/test_fastpath_equiv.py``):
+The PE timing model is inherently sequential — every instruction's issue
+time feeds the next — but the *functional* effect of a run of
+identically-shaped vector instructions is not: as long as no queued
+instruction reads bytes a queued predecessor writes (RAW), gathering all
+operands, applying one stacked NumPy computation over the batch axis, and
+scattering the results in queue order produces bit-exact scratchpad
+state.  :class:`VectorOpQueue` defers only that functional block; issue
+timing, stall accounting, ARC/hazard interlocks and counters stay eager
+and per-instruction in ``PE._exec_vector``.  The queue is flushed before
+anything else can observe scratchpad bytes (``ld.sram`` / ``st.sram`` /
+``halt`` / program load), so no other component ever sees a deferred
+write.  WAR and WAW need no flush: operands are gathered before any
+queued write lands, and writes land in queue order.
 
-**Vector-op batch queue.**  The PE timing model is inherently sequential
-— every instruction's issue time feeds the next — but the *functional*
-effect of a run of identically-shaped vector instructions is not: as long
-as no queued instruction reads bytes a queued predecessor writes (RAW),
-gathering all operands, applying one stacked NumPy computation over the
-batch axis, and scattering the results in queue order produces bit-exact
-scratchpad state.  :class:`VectorOpQueue` defers only that functional
-block; issue timing, stall accounting, ARC/hazard interlocks and counters
-stay eager and per-instruction in ``PE._exec_vector``.  The queue is
-flushed before anything else can observe scratchpad bytes (``ld.sram`` /
-``st.sram`` / ``halt`` / program load), so no other component ever sees a
-deferred write.  WAR and WAW need no flush: operands are gathered before
-any queued write lands, and writes land in queue order.
-
-**PE-local span run-ahead.**  :func:`local_steps` classifies each
-instruction of a program as *PE-local* (touches no shared chip state — no
-DRAM/NoC access, no full-empty variable) or *shared*.  The conservative
-chip scheduler uses it to step a PE straight through a local span without
-cycling the event heap, but only while that PE provably remains the next
-pop and passes the usual bound check — i.e. the shortcut replays exactly
-the pop sequence the reference loop would have produced.
+This queue is the only difference between ``fast_path="vector"`` and
+``fast_path=True``.  Exactness is gated empirically by
+``repro.perf.bench --compare`` and ``tests/perf/test_fastpath_equiv.py``.
 """
 
 from __future__ import annotations
@@ -39,35 +31,7 @@ from repro.fixedpoint import (
     saturate_inplace,
 )
 from repro.isa.instructions import Opcode
-from repro.isa.program import Program
 from repro.pe.vector_unit import apply_horizontal, apply_vertical
-
-#: Opcodes that touch shared chip state (HMC vaults, NoC links, full-empty
-#: queues) or can block.  Everything else is PE-local: scalar ALU/moves,
-#: branches, ``set.*``, vector ops (private scratchpad), ``v.drain``,
-#: ``memfence`` (own LSU slots), ``halt`` and ``nop``.
-_SHARED_OPCODES = frozenset((
-    Opcode.LD_SRAM,
-    Opcode.ST_SRAM,
-    Opcode.LD_REG,
-    Opcode.ST_REG,
-    Opcode.LD_FE,
-    Opcode.ST_FE,
-))
-
-
-def local_steps(program: Program) -> list[bool]:
-    """Per-pc flags: ``True`` where the instruction is PE-local.
-
-    Cached on the program object (programs are immutable after assembly),
-    mirroring ``repro.pe.decode.predecode``.
-    """
-    cached = getattr(program, "_local_steps", None)
-    if cached is None:
-        cached = [program[i].opcode not in _SHARED_OPCODES
-                  for i in range(len(program))]
-        program._local_steps = cached
-    return cached
 
 
 class VectorOpQueue:

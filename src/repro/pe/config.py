@@ -55,11 +55,11 @@ class PEConfig:
     hazard_mode: HazardMode = HazardMode.STALL
     #: Execution strategy for the PE hot loop.  ``False`` is the
     #: straight-line reference path used for cross-checking; ``True`` adds
-    #: the pre-decoded dispatch loop (``repro.pe.decode``); ``"vector"``
-    #: (the default) further batches runs of same-shaped vector
-    #: instructions through NumPy (``repro.pe.batch``) and lets the chip
-    #: scheduler run ahead through PE-local spans.  Timing, counters and
-    #: scratchpad state are identical in every mode (enforced by
+    #: the pre-decoded dispatch loop with pre-resolved scalar handlers
+    #: (``repro.pe.decode``); ``"vector"`` (the default) further batches
+    #: runs of same-shaped vector instructions through NumPy
+    #: (``repro.pe.batch``).  Timing, counters and scratchpad state are
+    #: identical in every mode (enforced by
     #: ``tests/perf/test_fastpath_equiv.py`` and ``repro.perf.bench
     #: --compare``).
     fast_path: bool | str = "vector"

@@ -191,6 +191,9 @@ class PE:
         self._blocked_on: tuple[int, float] | None = None  # (addr, issue time)
         self._end_time = 0.0
         self._dec: list[DecodedInstr] | None = None
+        # len(self._dec), or 0 without one: a single range test selects
+        # the pre-decoded path.
+        self._ndec = 0
         # Bumped whenever PE state may change; lets the chip scheduler cache
         # next_issue_lower_bound (which reads only PE-local state).
         self._version = 0
@@ -214,8 +217,10 @@ class PE:
         # attribution is unchanged.
         if self.config.fast_path and self._tr is None:
             self._dec = predecode(program, PE._DISPATCH)
+            self._ndec = len(self._dec)
         else:
             self._dec = None
+            self._ndec = 0
 
     def run(self, program: Program | None = None, max_steps: int = 200_000_000) -> PEResult:
         """Run to completion (single-PE convenience wrapper)."""
@@ -225,10 +230,10 @@ class PE:
             raise SimulationError("no program loaded")
         steps = 0
         while self.status is PEStatus.RUNNING:
-            self.step()
-            steps += 1
             if steps >= max_steps:
                 raise SimulationError(f"exceeded {max_steps} simulation steps")
+            self.step()
+            steps += 1
         if self.status is PEStatus.BLOCKED:
             raise SimulationError("PE blocked on full-empty variable at end of run")
         return self.result()
@@ -244,10 +249,10 @@ class PE:
         if self.status is not PEStatus.RUNNING:
             return self.status
         self._version += 1
-        dec = self._dec
-        if dec is not None and 0 <= self.pc < len(dec):
-            d = dec[self.pc]
-            d.handler(self, d.instr)
+        pc = self.pc
+        if 0 <= pc < self._ndec:
+            d = self._dec[pc]
+            d.handler(self, d.arg)
             return self.status
         assert self.program is not None
         if self.pc < 0 or self.pc >= len(self.program):
@@ -289,11 +294,10 @@ class PE:
         """
         if self.status is not PEStatus.RUNNING or self.program is None:
             return self.clock
+        if 0 <= self.pc < self._ndec:
+            return self._lower_bound_fast(self._dec[self.pc])
         if not 0 <= self.pc < len(self.program):
             return self.clock
-        dec = self._dec
-        if dec is not None:
-            return self._lower_bound_fast(dec[self.pc])
         instr = self.program[self.pc]
         t = self.clock
         op = instr.opcode

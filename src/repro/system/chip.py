@@ -26,7 +26,6 @@ from repro.errors import DeadlockError, SimulationError
 from repro.isa.program import Program
 from repro.memory.hmc import HMC
 from repro.noc.torus import TorusNetwork
-from repro.pe.batch import local_steps
 from repro.pe.counters import PECounters
 from repro.pe.pe import PE, PEStatus
 from repro.system.config import VIPConfig
@@ -266,22 +265,23 @@ class Chip:
         blocked: set[int] = set()
         steps = 0
         pes = self.pes
-        # "vector" fast path: per-program flags marking PE-local
-        # instructions, for the span run-ahead below.
-        run_ahead = self.config.pe.fast_path == "vector"
-        local_flags: dict[int, list[bool]] = {}
-        if run_ahead:
-            for pe_id, program in programs.items():
-                local_flags[pe_id] = local_steps(program)
+        running = PEStatus.RUNNING
+        heappop, heappush, heappushpop = (
+            heapq.heappop, heapq.heappush, heapq.heappushpop)
         # next_issue_lower_bound reads only PE-local state, so a parked
         # PE's bound cannot change until it steps (or is resumed): cache it
         # keyed by the PE's state version instead of recomputing per poll.
         bound_cache: list[tuple[int, float]] = [(-1, 0.0)] * len(pes)
         fe_seen = self._fe_version
         while active:
-            key, pe_id = heapq.heappop(active)
+            _, pe_id = heappop(active)
             pe = pes[pe_id]
-            if pe.status is PEStatus.RUNNING:
+            # Keys (clock, pe_id) are unique, so heappushpop is exactly a
+            # push followed by a pop: a PE that stays the minimum keeps
+            # running with no heap traffic.  The plain push / wake scan /
+            # pop path below is needed only when some PE waits on a
+            # full-empty variable or this one stopped running.
+            while pe.status is running:
                 # Conservative ordering: execute only when this PE's next
                 # instruction issues no later than every other PE's bound;
                 # otherwise re-queue at the refined time.  This keeps
@@ -290,37 +290,27 @@ class Chip:
                 # With no other runnable PE the bound is irrelevant (the
                 # reference loop steps immediately too): idle-skip it.
                 if active:
-                    version, bound = bound_cache[pe_id]
-                    if version != pe._version:
-                        bound = pe.next_issue_lower_bound()
-                        bound_cache[pe_id] = (pe._version, bound)
+                    pc = pe.pc
+                    d = pe._dec[pc] if 0 <= pc < pe._ndec else None
+                    if d is not None and d.lb_simple:
+                        # The whole bound is the clock raised by the
+                        # source registers' ready times: inline it.
+                        bound = pe.clock
+                        reg_time = pe.reg_time
+                        for r in d.lb_regs:
+                            if reg_time[r] > bound:
+                                bound = reg_time[r]
+                    else:
+                        version, bound = bound_cache[pe_id]
+                        if version != pe._version:
+                            bound = pe.next_issue_lower_bound()
+                            bound_cache[pe_id] = (pe._version, bound)
                     if bound > active[0][0]:
-                        heapq.heappush(active, (bound, pe_id))
+                        _, pe_id = heappushpop(active, (bound, pe_id))
+                        pe = pes[pe_id]
                         continue
                 pe.step()
                 steps += 1
-                if run_ahead and pe.status is PEStatus.RUNNING:
-                    # Span run-ahead: step straight through PE-local
-                    # instructions, but only while this PE would provably
-                    # be the next heap pop AND pass the conservative bound
-                    # check — a mechanical shortcut over the requeue/pop
-                    # cycle that replays the reference pop sequence
-                    # exactly (local instructions touch no shared state,
-                    # and no other PE could have run in between).
-                    flags = local_flags[pe_id]
-                    n = len(flags)
-                    while 0 <= pe.pc < n and flags[pe.pc]:
-                        if active:
-                            if (pe.clock, pe_id) > active[0]:
-                                break
-                            bound = pe.next_issue_lower_bound()
-                            bound_cache[pe_id] = (pe._version, bound)
-                            if bound > active[0][0]:
-                                break
-                        pe.step()
-                        steps += 1
-                        if steps > max_steps or pe.status is not PEStatus.RUNNING:
-                            break
                 if steps > max_steps:
                     report = self.blocked_report(
                         sorted({pe_id for _, pe_id in active} | blocked | {pe_id})
@@ -331,8 +321,12 @@ class Chip:
                     )
                     err.report = report
                     raise err
-            if pe.status is PEStatus.RUNNING:
-                heapq.heappush(active, (pe.clock, pe_id))
+                if blocked or pe.status is not running:
+                    break
+                _, pe_id = heappushpop(active, (pe.clock, pe_id))
+                pe = pes[pe_id]
+            if pe.status is running:
+                heappush(active, (pe.clock, pe_id))
             elif pe.status is PEStatus.BLOCKED:
                 blocked.add(pe_id)
             # A store may have freed blocked PEs; wake the eligible ones.
@@ -349,7 +343,7 @@ class Chip:
                         done = max(waiter.clock, ready) + port._fe_latency(addr)
                         waiter.resume_fe(done, value)
                         blocked.discard(waiting_id)
-                        heapq.heappush(active, (waiter.clock, waiting_id))
+                        heappush(active, (waiter.clock, waiting_id))
             if not active and blocked:
                 report = self.blocked_report(blocked)
                 raise DeadlockError(

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError, TimingHazardError
 from repro.isa import assemble
-from repro.pe import PE, FlatMemory, HazardMode, PEConfig
+from repro.pe import PE, FlatMemory, HazardMode, PEConfig, PEStatus
 
 
 def run(pe, text):
@@ -229,3 +229,25 @@ class TestControl:
             v.v.add[16] r1, r2, r2
             halt
         """))
+
+
+class TestRunStepBudget:
+    """``PE.run(max_steps=N)`` allows exactly N steps."""
+
+    @staticmethod
+    def _nop_nop_halt():
+        return assemble("nop\nnop\nhalt\n")
+
+    @pytest.mark.parametrize("fast_path", [False, True, "vector"])
+    def test_program_of_exactly_n_steps_passes(self, fast_path):
+        pe = PE(PEConfig(fast_path=fast_path))
+        result = pe.run(self._nop_nop_halt(), max_steps=3)
+        assert result.status is PEStatus.HALTED
+        assert result.counters.instructions == 3
+
+    @pytest.mark.parametrize("fast_path", [False, True, "vector"])
+    def test_one_step_short_raises(self, fast_path):
+        pe = PE(PEConfig(fast_path=fast_path))
+        with pytest.raises(SimulationError, match="exceeded 2 simulation steps"):
+            pe.run(self._nop_nop_halt(), max_steps=2)
+        assert pe.counters.instructions == 2

@@ -4,9 +4,12 @@ Every simulator bench kernel is run with ``PEConfig(fast_path=True)``,
 ``"vector"``, and ``False`` and the runs must agree on *everything
 observable*: simulated cycles, the PE counters, DRAM contents, and
 scratchpad contents.  This is the correctness gate for the pre-decoded
-hot loop, the cached issue lower bound, the interval-list scratchpad
-timing tracker, and the batched vector-op queue + chip run-ahead of the
-``"vector"`` mode.
+hot loop and its pre-resolved scalar handlers, the cached issue lower
+bound, the interval-list scratchpad timing tracker, and the batched
+vector-op queue of the ``"vector"`` mode.  All three modes share
+``Chip.run``'s scheduler loop, so the scheduler itself is gated
+separately against a reference loop in
+``tests/system/test_scheduler_oracle.py``.
 """
 
 import pytest

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.isa.instructions import Opcode
-from repro.pe.batch import VectorOpQueue, local_steps
+from repro.pe.batch import VectorOpQueue
 from repro.pe.vector_unit import ScratchpadView, apply_vertical
 
 
@@ -117,26 +117,3 @@ def test_flush_on_empty_queue_is_noop():
     before = pe.scratchpad.copy()
     VectorOpQueue().flush(pe)
     assert np.array_equal(pe.scratchpad, before)
-
-
-def test_local_steps_classifies_shared_opcodes():
-    from repro.isa.builder import ProgramBuilder
-
-    b = ProgramBuilder()
-    b.set_vl(4)
-    r_a, r_cnt = b.alloc_reg(), b.alloc_reg()
-    b.movi(r_a, 0)
-    b.movi(r_cnt, 8)
-    b.ld_sram(r_a, r_a, r_cnt)   # shared: DRAM access
-    b.vv("add", r_a, r_a, r_a)   # local: private scratchpad
-    b.st_sram(r_a, r_a, r_cnt)   # shared
-    b.halt()                     # local
-    program = b.build()
-    flags = local_steps(program)
-    assert len(flags) == len(program)
-    from repro.isa.instructions import Opcode as Op
-    for pc, flag in enumerate(flags):
-        op = program[pc].opcode
-        assert flag == (op not in (Op.LD_SRAM, Op.ST_SRAM, Op.LD_REG,
-                                   Op.ST_REG, Op.LD_FE, Op.ST_FE))
-    assert local_steps(program) is flags  # cached on the program
