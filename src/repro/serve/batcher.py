@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigError
 from repro.serve.workload import Request
 
+_INF = float("inf")
+
 
 @dataclass
 class Batch:
@@ -52,6 +54,10 @@ class _OpenBatch:
     requests: list[Request] = field(default_factory=list)
 
 
+def _close_order(b: _OpenBatch) -> tuple[float, str]:
+    return b.deadline, b.kind
+
+
 class DynamicBatcher:
     """Max-batch-size / max-wait batching over per-kind open batches."""
 
@@ -66,6 +72,9 @@ class DynamicBatcher:
         #: Requests admitted but not yet dispatched: the sum of the open
         #: batches' sizes, kept in step by every method that changes them.
         self.waiting = 0
+        #: The earliest deadline over the open batches (``inf`` when none
+        #: is open), so :meth:`due` answers "nothing yet" in O(1).
+        self._next_deadline = _INF
 
     # -- state ---------------------------------------------------------
 
@@ -90,6 +99,12 @@ class DynamicBatcher:
         self.waiting -= 1
         if not b.requests:
             del self._open[request.kind]
+            self._reset_deadline()
+
+    def _reset_deadline(self) -> None:
+        """Recompute :attr:`_next_deadline` after open batches closed."""
+        self._next_deadline = min((b.deadline for b in self._open.values()),
+                                  default=_INF)
 
     # -- batching ------------------------------------------------------
 
@@ -100,11 +115,14 @@ class DynamicBatcher:
             b = _OpenBatch(kind=request.kind,
                            deadline=request.arrival + self.max_wait_cycles)
             self._open[request.kind] = b
+            if b.deadline < self._next_deadline:
+                self._next_deadline = b.deadline
         b.requests.append(request)
         self.waiting += 1
         if len(b.requests) >= self.max_batch:
             del self._open[request.kind]
             self.waiting -= len(b.requests)
+            self._reset_deadline()
             return Batch(kind=b.kind, requests=b.requests,
                          close=request.arrival)
         return None
@@ -112,21 +130,23 @@ class DynamicBatcher:
     def due(self, now: float) -> list[Batch]:
         """Close and return every open batch whose deadline has passed,
         in (deadline, kind) order so ties break deterministically."""
-        ready = [b for b in self._open.values() if b.deadline <= now]
-        if not ready:
+        if now < self._next_deadline:
             return []
-        ready.sort(key=lambda b: (b.deadline, b.kind))
+        ready = [b for b in self._open.values() if b.deadline <= now]
+        ready.sort(key=_close_order)
         out = []
         for b in ready:
             del self._open[b.kind]
             self.waiting -= len(b.requests)
             out.append(Batch(kind=b.kind, requests=b.requests, close=b.deadline))
+        self._reset_deadline()
         return out
 
     def flush(self) -> list[Batch]:
         """Close every remaining open batch at its deadline (end of trace)."""
-        ready = sorted(self._open.values(), key=lambda b: (b.deadline, b.kind))
+        ready = sorted(self._open.values(), key=_close_order)
         self._open.clear()
         self.waiting = 0
+        self._next_deadline = _INF
         return [Batch(kind=b.kind, requests=b.requests, close=b.deadline)
                 for b in ready]

@@ -511,7 +511,7 @@ class ClusterSimulator:
             if rec.arrival != origin:
                 # Failover re-stamped the arrival; restore the original
                 # so latency covers the lost attempts end-to-end.
-                rec = replace(rec, arrival=origin)
+                rec = rec._replace(arrival=origin)
             if rec.outcome == "expired" \
                     and self._failover_count.get(rid, 0) > 0:
                 failover_expired += 1

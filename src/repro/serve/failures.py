@@ -219,6 +219,9 @@ class ChipFailureTimeline:
         self._domain_rngs: dict[int, object] = {}
         #: chip id -> indices of the domains it belongs to.
         self._chip_domains: dict[int, tuple[int, ...]] = {}
+        #: chip id -> ``(lo, hi)``: no fail-stop window, own or domain,
+        #: covers any instant of ``[lo, hi)`` (see :meth:`down_at`).
+        self._healthy: dict[int, tuple[float, float]] = {}
         for i, members in enumerate(config.domains):
             for c in members:
                 self._chip_domains[c] = self._chip_domains.get(c, ()) + (i,)
@@ -309,8 +312,49 @@ class ChipFailureTimeline:
 
     def down_at(self, chip: int, t: float) -> FailureWindow | None:
         """The fail-stop downtime window containing ``t``, if any
-        (the chip's own or a containing domain's outage)."""
-        return self._window_at(chip, "fail-stop", t)
+        (the chip's own or a containing domain's outage).
+
+        Health checks ask this of every chip on every tick, and the
+        answer is almost always ``None``; each ``None`` caches the
+        chip's enclosing healthy interval, and a later query inside it
+        returns at once without generating or searching windows.
+        """
+        span = self._healthy.get(chip)
+        if span is not None and span[0] <= t < span[1]:
+            return None
+        w = self._window_at(chip, "fail-stop", t)
+        if w is None:
+            self._healthy[chip] = self._healthy_span(chip, t)
+        return w
+
+    def _healthy_span(self, chip: int, t: float) -> tuple[float, float]:
+        """The widest ``[lo, hi)`` around a healthy ``t`` that the
+        fail-stop lists generated so far prove healthy.
+
+        Per list, ``lo`` is the end of the last window starting at or
+        before ``t`` and ``hi`` the start of the next one, or, when none
+        is generated yet, the list's coverage (every later window starts
+        past it).  Windows never change once drawn and each list has its
+        own stream, so the interval stays exact whatever is generated
+        later.  A chip outside ``fail_stop_chips`` draws no own windows,
+        so its own list bounds nothing.
+        """
+        key = (chip, "fail-stop")
+        inf = float("inf")
+        own_cover = 0.0 if chip in self.config.fail_stop_chips else inf
+        lists = [(self._windows.get(key, ()),
+                  self._covered.get(key, own_cover))]
+        if self.config.domain_mode == "fail-stop":
+            lists += [(self._domain_windows[idx],
+                       self._domain_covered.get(idx, 0.0))
+                      for idx in self._chip_domains.get(chip, ())]
+        lo, hi = -inf, inf
+        for windows, covered in lists:
+            i = bisect_right(windows, t, key=_start)
+            if i:
+                lo = max(lo, windows[i - 1].end)
+            hi = min(hi, windows[i].start if i < len(windows) else covered)
+        return lo, hi
 
     def fail_stop_in(self, chip: int, t0: float, t1: float) -> FailureWindow | None:
         """The fail-stop window that kills work running over ``[t0, t1)``:

@@ -69,6 +69,7 @@ fleet runs the exact legacy path.
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 
 from repro.errors import ConfigError, SimulationError
 from repro.serve.autoscale import Autoscaler
@@ -100,6 +101,9 @@ __all__ = [
     "OUTCOMES", "POLICIES", "BatchRecord", "ChipState", "FleetResult",
     "FleetSimulator", "RequestRecord", "ServeConfig",
 ]
+
+_by_rid = attrgetter("rid")
+_by_arrival = attrgetter("arrival", "rid")
 
 
 class FleetSimulator(DispatchMixin):
@@ -337,7 +341,7 @@ class FleetSimulator(DispatchMixin):
             raise SimulationError(
                 f"requests lost without accounting: {missing}")
         records = [self._records[r.rid] for r in
-                   sorted(requests, key=lambda r: r.rid)]
+                   sorted(requests, key=_by_rid)]
         first = min((r.arrival for r in requests), default=0.0)
         last = max((b.finish for b in self._batches
                     if b.outcome == "served"),
@@ -353,7 +357,7 @@ class FleetSimulator(DispatchMixin):
     def run(self, requests: list[Request],
             on_progress=None, progress_every: int | None = None
             ) -> FleetResult:
-        requests = sorted(requests, key=lambda r: (r.arrival, r.rid))
+        requests = sorted(requests, key=_by_arrival)
         self.begin()
         total = len(requests)
         if on_progress is not None and progress_every is None:

@@ -7,7 +7,8 @@ module pulls in no simulation machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigError
 from repro.serve.failures import FailureConfig
@@ -123,9 +124,14 @@ class ChipState:
     retired_at: float | None = None
 
 
-@dataclass(frozen=True)
-class RequestRecord:
-    """Final accounting for one request (served, shed, or expired)."""
+class RequestRecord(NamedTuple):
+    """Final accounting for one request (served, shed, or expired).
+
+    Like :class:`~repro.serve.workload.Request` (and
+    :class:`BatchRecord`), an immutable, hashable tuple record: the
+    fleet builds one per request, and a ``NamedTuple`` constructs about
+    three times faster than a frozen dataclass of the same fields.
+    """
 
     rid: int
     kind: str
@@ -162,8 +168,7 @@ class RequestRecord:
         return self.finish - self.arrival
 
 
-@dataclass(frozen=True)
-class BatchRecord:
+class BatchRecord(NamedTuple):
     """One kernel launch (or launch attempt)."""
 
     batch_id: int

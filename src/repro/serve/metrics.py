@@ -166,7 +166,8 @@ def compute_metrics(records, batches, makespan_cycles: float,
             shed += 1
         elif outcome == "expired":
             expired += 1
-    latencies = [r.latency for r in served]
+    # Sorted once: each percentile() re-sort is then a linear pass.
+    latencies = sorted([r.latency for r in served])
     if served:
         p50, p95, p99, p999 = (percentile(latencies, p)
                                for p in REPORT_PERCENTILES)

@@ -20,17 +20,16 @@ so they are bit-reproducible along with everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.batcher import Batch, DynamicBatcher
 from repro.serve.workload import Request
 
 SHED_POLICIES = ("drop-newest", "drop-oldest")
 
 
-@dataclass
-class Admission:
+class Admission(NamedTuple):
     """Outcome of offering one request to the admission queue."""
 
     #: The request that was shed, if any (the newcomer under
@@ -38,6 +37,11 @@ class Admission:
     shed: Request | None = None
     #: A batch the admitted request filled to ``max_batch``, if any.
     filled: Batch | None = None
+
+
+#: The outcome of a plain admit (nothing shed, no batch filled), shared
+#: by every such offer: an ``Admission`` is immutable.
+_ADMITTED = Admission()
 
 
 class AdmissionQueue:
@@ -78,8 +82,13 @@ class AdmissionQueue:
             if policy == "drop-newest":
                 return Admission(shed=request)
             evicted = self.batcher.oldest()
-            assert evicted is not None  # capacity > 0 => someone is waiting
+            if evicted is None:
+                raise SimulationError(
+                    f"drop-oldest: {self.batcher.waiting} waiting at "
+                    f"capacity {self.capacity} but no open request to "
+                    f"evict")
             self.batcher.remove(evicted)
             return Admission(shed=evicted,
                              filled=self.batcher.add(request))
-        return Admission(filled=self.batcher.add(request))
+        filled = self.batcher.add(request)
+        return _ADMITTED if filled is None else Admission(filled=filled)

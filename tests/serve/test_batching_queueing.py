@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SimulationError
 from repro.serve.batcher import DynamicBatcher
 from repro.serve.queueing import AdmissionQueue
 from repro.serve.workload import Request
@@ -90,6 +90,23 @@ class TestAdmissionQueue:
         q.offer(_req(0, 1.0))
         adm = q.offer(_req(1, 2.0))
         assert adm.filled is not None and adm.filled.size == 2
+
+    def test_drop_oldest_with_nothing_to_evict_is_a_simulation_error(self):
+        # A waiting count at capacity with no open batch is corrupt
+        # state; it must fail loudly (also under ``python -O``) instead
+        # of evicting None.
+        batcher = DynamicBatcher(max_batch=8, max_wait_cycles=1e6)
+        q = AdmissionQueue(batcher, capacity=2, shed_policy="drop-oldest")
+        batcher.waiting = 2
+        with pytest.raises(SimulationError, match="no open request"):
+            q.offer(_req(0, 1.0))
+
+    def test_plain_admits_share_one_outcome(self):
+        batcher = DynamicBatcher(max_batch=8, max_wait_cycles=1e6)
+        q = AdmissionQueue(batcher, capacity=8)
+        first, second = q.offer(_req(0, 1.0)), q.offer(_req(1, 2.0))
+        assert first is second
+        assert first.shed is None and first.filled is None
 
     def test_validation(self):
         batcher = DynamicBatcher(1, 0.0)

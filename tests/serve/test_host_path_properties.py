@@ -1,16 +1,26 @@
 """Property tests for the serving host path's fast lookups.
 
 The failure timeline answers point and span queries by bisecting
-start-sorted, disjoint windows; the dynamic batcher keeps its
-``waiting`` count as a running total.  Both are checked here against
-plain linear-scan oracles on generated inputs.
+start-sorted, disjoint windows, and ``down_at`` caches each chip's
+current healthy interval; the dynamic batcher keeps its ``waiting``
+count as a running total and its earliest deadline as a cached
+minimum.  All are checked here against plain linear-scan oracles on
+generated inputs.
 """
+
+import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serve.batcher import DynamicBatcher
-from repro.serve.failures import ChipFailureTimeline, FailureConfig
+from repro.serve.failures import (
+    ChipFailureTimeline,
+    FailureConfig,
+    FailureWindow,
+    scripted_timeline,
+)
 from repro.serve.workload import Request
 
 CHIPS = 3
@@ -133,6 +143,77 @@ def test_timeline_queries_match_linear_scans(seed, domain_mode, mtbf,
                 oracle.domain_windows_until(idx, t)
 
 
+def _assert_down_at_matches(fast, oracle, probes, shuffle_seed, span):
+    """``down_at`` on every chip at the probes, every window edge and
+    the float just below each edge: forward, then backward, then in a
+    shuffled order, with a span query now and then to generate windows
+    ahead."""
+    times = sorted(probes + [p for t in _edges(oracle)
+                             for p in (t, math.nextafter(t, -math.inf))])
+    shuffled = list(times)
+    random.Random(shuffle_seed).shuffle(shuffled)
+    for i, t in enumerate(times + times[::-1] + shuffled):
+        for chip in range(CHIPS):
+            assert fast.down_at(chip, t) == oracle.window_at(
+                chip, "fail-stop", t), (chip, t)
+        if i % 7 == 0:
+            fast.fail_stop_in(i % CHIPS, t, t + span)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       domain_mode=st.sampled_from(["fail-stop", "fail-slow"]),
+       mtbf=st.sampled_from([4_000.0, 20_000.0, 90_000.0]),
+       probes=st.lists(st.floats(0.0, HORIZON), max_size=30),
+       span=st.floats(0.0, 300_000.0),
+       shuffle_seed=st.integers(0, 2**32))
+def test_down_at_matches_linear_scan_out_of_order(seed, domain_mode, mtbf,
+                                                  probes, span, shuffle_seed):
+    """Drawn timelines, queried out of order."""
+    config = _timeline_config(seed, domain_mode, mtbf)
+    fast = ChipFailureTimeline(config, CHIPS)
+    oracle = LinearOracle(ChipFailureTimeline(config, CHIPS))
+    _assert_down_at_matches(fast, oracle, probes, shuffle_seed, span)
+
+
+def _scripted_windows(kind, episodes):
+    """Disjoint, start-sorted windows from (gap, duration) pairs."""
+    out, t = [], 0.0
+    for gap, duration in episodes:
+        start = t + gap
+        out.append(FailureWindow(kind, start, start + duration))
+        t = start + duration
+    return out
+
+
+_episodes = st.lists(st.tuples(st.floats(0.0, 50_000.0),
+                               st.floats(1.0, 40_000.0)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(own=st.lists(_episodes, min_size=CHIPS, max_size=CHIPS),
+       domain=st.lists(_episodes, min_size=len(DOMAINS),
+                       max_size=len(DOMAINS)),
+       probes=st.lists(st.floats(0.0, HORIZON), max_size=20),
+       shuffle_seed=st.integers(0, 2**32))
+def test_down_at_matches_linear_scan_on_scripted_timelines(own, domain,
+                                                           probes,
+                                                           shuffle_seed):
+    """Scripted timelines: own fail-stop windows plus two overlapping
+    fail-stop domains, queried out of order."""
+    def build():
+        return scripted_timeline(
+            CHIPS,
+            {chip: _scripted_windows("fail-stop", eps)
+             for chip, eps in enumerate(own)},
+            domains=DOMAINS,
+            domain_windows={idx: _scripted_windows("fail-stop", eps)
+                            for idx, eps in enumerate(domain)})
+
+    _assert_down_at_matches(build(), LinearOracle(build()), probes,
+                            shuffle_seed, 10_000.0)
+
+
 # -- dynamic batcher ----------------------------------------------------
 
 KINDS = ("bp", "conv", "fc")
@@ -142,6 +223,7 @@ _ops = st.lists(
         st.tuples(st.just("add"), st.sampled_from(KINDS),
                   st.floats(0.0, 40.0)),
         st.tuples(st.just("remove"), st.integers(0, 1_000)),
+        st.tuples(st.just("drop-oldest")),
         st.tuples(st.just("due"), st.floats(0.0, 80.0)),
         st.tuples(st.just("flush")),
     ),
@@ -181,15 +263,22 @@ def test_batcher_waiting_and_due_match_a_sorted_scan(max_batch, max_wait,
             model[req.kind][1].remove(req)
             if not model[req.kind][1]:
                 del model[req.kind]
+        elif op[0] == "drop-oldest":
+            # Evict the oldest resident, as drop-oldest shedding does; when
+            # that empties its batch, release at exactly its old deadline.
+            residents = [r for _, reqs in model.values() for r in reqs]
+            if not residents:
+                continue
+            req = min(residents, key=lambda r: r.arrival)
+            assert batcher.oldest() == req
+            batcher.remove(req)
+            deadline, reqs = model[req.kind]
+            reqs.remove(req)
+            if not reqs:
+                del model[req.kind]
+                _check_due(batcher, model, deadline)
         elif op[0] == "due":
-            at = now + op[1]
-            expected = sorted(
-                ((d, kind, reqs) for kind, (d, reqs) in model.items()
-                 if d <= at), key=lambda e: (e[0], e[1]))
-            got = batcher.due(at)
-            assert [(b.close, b.kind, b.requests) for b in got] == expected
-            for _, kind, _ in expected:
-                del model[kind]
+            _check_due(batcher, model, now + op[1])
         else:
             expected = sorted(((d, kind, reqs)
                                for kind, (d, reqs) in model.items()),
@@ -199,3 +288,17 @@ def test_batcher_waiting_and_due_match_a_sorted_scan(max_batch, max_wait,
             model.clear()
         assert batcher.waiting == sum(len(reqs) for _, reqs in model.values())
         assert batcher.waiting == sum(batcher.kind_depth(k) for k in KINDS)
+        assert batcher._next_deadline == min(
+            (d for d, _ in model.values()), default=math.inf)
+
+
+def _check_due(batcher, model, at):
+    """``due(at)`` releases exactly the oracle's expired batches, in
+    (deadline, kind) order."""
+    expected = sorted(
+        ((d, kind, reqs) for kind, (d, reqs) in model.items() if d <= at),
+        key=lambda e: (e[0], e[1]))
+    got = batcher.due(at)
+    assert [(b.close, b.kind, b.requests) for b in got] == expected
+    for _, kind, _ in expected:
+        del model[kind]
