@@ -26,6 +26,11 @@ brown-out shedding (``--brownout-headroom``); ``--fail-domains
 outages that fail every member in one event).  Both compose with
 ``--scenario`` the way ``--autoscale`` does.
 
+Each config flag sets one field of a scenario document that compiles
+through ``scenario_from_document`` like a scenario file, so
+``SCENARIO_SCHEMA`` holds every knob's only default, type, bounds and
+choices.  Other config flags given with ``--scenario`` are rejected.
+
 Two runs of the same command write byte-identical JSON, and
 ``--workers N`` (parallel cost-table measurement) matches a serial run
 exactly; CI asserts both.  ``--checkpoint PATH`` journals cost-table
@@ -40,44 +45,27 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from repro.errors import ConfigError
 from repro.perf.checkpoint import TaskCheckpoint
-from repro.serve.autoscale import AutoscaleConfig
-from repro.serve.cluster import ROUTERS, ClusterConfig
-from repro.serve.failures import FailureConfig
-from repro.serve.fleet import POLICIES, ServeConfig
-from repro.serve.policy import OBSERVABLES, list_policies, load_policy
-from repro.serve.queueing import SHED_POLICIES
+from repro.serve.policy import OBSERVABLES, list_policies
 from repro.serve.report import (
-    COST_MODELS,
     checkpoint_meta,
     run_report,
     write_csv,
     write_json,
 )
-from repro.serve.surrogate import DEFAULT_TOLERANCE
-from repro.serve.resilience import DEFAULT_RESILIENCE, ResilienceConfig
-from repro.serve.scenario import CLOCK_GHZ, list_scenarios, load_scenario
-from repro.serve.workload import ARRIVALS, MIXES, WorkloadConfig
+from repro.serve.scenario import (
+    SCENARIO_SCHEMA,
+    check_field,
+    list_scenarios,
+    load_scenario,
+    scenario_from_document,
+)
 
 
-def _ints(text: str) -> tuple:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
-def _domains(text: str) -> tuple:
-    """``"0,1;2,3"`` -> ``((0, 1), (2, 3))`` (semicolons split domains)."""
-    out = tuple(_ints(group) for group in text.split(";") if group.strip())
-    if any(not group for group in out):
-        raise argparse.ArgumentTypeError(
-            f"each domain needs at least one chip id, got {text!r}")
-    return out
-
-
-def _kinds(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _ints(text: str) -> list:
+    return [int(part) for part in text.split(",") if part.strip()]
 
 
 def _positive_int(text: str) -> int:
@@ -87,30 +75,164 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+#: Flag text -> raw document value, per schema kind: ``--degraded 1,3``,
+#: ``--fail-domains "0,1;2,3"``, ``--brownout-kinds fc,gibbs``, one mix
+#: per ``--mix`` (appended), and ``--fail-chips N`` as a count.
+_PARSE = {
+    "int": int, "float": float, "str": str, "mixes": str, "chips": int,
+    "int_list": _ints,
+    "domains": lambda text: [_ints(g) for g in text.split(";") if g.strip()],
+    "kinds": lambda text: [k.strip() for k in text.split(",") if k.strip()],
+}
+
+#: Sections a flag may still set alongside ``--scenario``: they replace
+#: the file's own section whole.
+_OVERLAYS = ("policy", "autoscale", "cluster")
+
+#: argument group -> ``(flag, "section.key", help)`` rows.  Type,
+#: choices, bounds and default come from the schema field.
+_FLAGS = {
+    "fleet": (
+        ("--chips", "fleet.chips", None),
+        ("--policy", "fleet.policy", None),
+        ("--degraded", "fleet.degraded_chips", "comma-separated chip ids "
+         "running the fault-injected (ECC-correcting) service times from "
+         "repro.faults"),
+    ),
+    "admission and batching": (
+        ("--max-batch", "batching.max_batch", None),
+        ("--max-wait", "batching.max_wait_cycles",
+         "batch close deadline in cycles"),
+        ("--queue-capacity", "batching.queue_capacity", None),
+        ("--shed-policy", "batching.shed_policy", None),
+    ),
+    "workload": (
+        ("--arrival", "workload.arrival", None),
+        ("--rate", "workload.rate",
+         "offered load in requests per simulated second"),
+        ("--requests", "workload.requests", "requests per mix"),
+        ("--seed", "workload.seed", None),
+        ("--mix", "workload.mix",
+         "workload mix (repeatable); default: bp and bp+vgg"),
+        ("--num-tiles", "workload.num_tiles", None),
+        ("--burst-factor", "workload.burst_factor", None),
+        ("--burst-len", "workload.burst_len", None),
+    ),
+    "failure lifecycle": (
+        ("--fail-chips", "failures.fail_stop_chips", "subject the first N "
+         "chips to seeded fail-stop events (0 disables)"),
+        ("--fail-slow-chips", "failures.fail_slow_chips",
+         "subject the first N chips to fail-slow (straggler) windows"),
+        ("--transient-chips", "failures.transient_chips",
+         "subject the first N chips to transient degraded-service windows"),
+        ("--fail-seed", "failures.seed",
+         "base seed of the failure lifecycle streams"),
+        ("--mtbf-ms", "failures.mtbf_ms",
+         "mean simulated ms between fail-stop events"),
+        ("--repair-ms", "failures.repair_ms",
+         "mean simulated ms to repair a fail-stop"),
+        ("--fail-domains", "failures.domains", "correlated failure domains "
+         "as semicolon-separated chip-id groups, e.g. '0,1;2,3' (one "
+         "seeded outage fails every member)"),
+        ("--domain-mtbf-ms", "failures.domain_mtbf_ms",
+         "mean simulated ms between domain outages"),
+        ("--domain-repair-ms", "failures.domain_repair_ms",
+         "mean simulated ms to repair a domain outage"),
+        ("--domain-mode", "failures.domain_mode",
+         "what a domain outage does to member chips"),
+    ),
+    "resilience": (
+        ("--health-interval-ms", "resilience.health_interval_ms",
+         "health-check tick period (simulated ms)"),
+        ("--detect-latency-ms", "resilience.detect_latency_ms",
+         "extra detection latency after the tick"),
+        ("--health-fp-rate", "resilience.health_fp_rate",
+         "health-check false-positive probability"),
+        ("--max-retries", "resilience.max_retries",
+         "re-dispatch budget per killed batch"),
+        ("--retry-deadline-ms", "resilience.retry_deadline_ms",
+         "drop requests older than this instead of retrying"),
+        ("--hedge-delay-ms", "resilience.hedge_delay_ms", "hedge a launch "
+         "overrunning its healthy estimate by this much (default: off)"),
+    ),
+    "autoscale": (
+        ("--autoscale-min", "autoscale.min_chips", "active-fleet floor"),
+        ("--autoscale-max", "autoscale.max_chips", "active-fleet ceiling"),
+        ("--autoscale-interval-ms", "autoscale.evaluate_interval_ms",
+         "decision tick period (simulated ms)"),
+        ("--autoscale-warmup-ms", "autoscale.warmup_ms",
+         "provisioned chips serve nothing for this long"),
+        ("--autoscale-cooldown-ms", "autoscale.cooldown_ms",
+         "hold-off between scale decisions"),
+    ),
+    "cluster": (
+        ("--cluster-shards", "cluster.shards", "shard the fleet into N "
+         "independent fleets behind the cluster router (--chips becomes "
+         "the per-shard size; composes with --scenario)"),
+        ("--cluster-router", "cluster.router",
+         "routing policy over believed-alive shards"),
+        ("--cluster-gossip-ms", "cluster.gossip_interval_ms", "belief-"
+         "refresh tick period (simulated ms); router beliefs are up to one "
+         "tick stale"),
+        ("--cluster-failover-retries", "cluster.failover_retries",
+         "cross-shard re-dispatch budget per request (0 disables failover)"),
+        ("--brownout-headroom", "cluster.brownout_headroom", "shed low-"
+         "priority kinds cluster-wide when believed capacity fraction "
+         "drops below this (default: off)"),
+        ("--brownout-kinds", "cluster.brownout_kinds",
+         "comma-separated kinds shed during a brown-out (default: fc)"),
+    ),
+    "run": (
+        ("--slo-ms", "run.slo_ms", "latency SLO in simulated milliseconds"),
+        ("--cost-model", "run.cost_model", "how the service-time table is "
+         "built: 'measured' simulates every launch shape; 'surrogate' "
+         "simulates anchors and cross-validates a piecewise-linear fit "
+         "(repro.serve.surrogate)"),
+        ("--surrogate-tolerance", "run.surrogate_tolerance", "relative "
+         "cycle tolerance of the surrogate's held-out validation "
+         "(fallback to exact measurement beyond it)"),
+    ),
+}
+
+_METAVARS = {"--fail-domains": "SPEC", "--cluster-shards": "N"}
+
+#: Failure modes; with none of them on, the other failure and resilience
+#: flags build no sections (as in a flag-less run).
+_FAILURE_MODES = ("fail_stop_chips", "fail_slow_chips", "transient_chips",
+                  "domains")
+
+#: Document path -> the flag that sets it, for error messages.
+_FLAG_OF = {path: flag for rows in _FLAGS.values()
+            for flag, path, _ in rows} | {"run.quick": "--full"}
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+def _flag_type(path: str, spec):
+    """The argparse ``type`` of the flag setting ``section.key``: parse
+    the text into the document's raw form and run the schema check."""
+    def convert(text: str):
+        try:
+            value = _PARSE[spec.kind](text)
+            check_field(value, spec, f"scenario.{path}")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"scenario.{path}: cannot parse {text!r}") from None
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return convert
 
 
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _ms(value: float) -> float:
-    """Simulated milliseconds -> PE clock cycles."""
-    return value * CLOCK_GHZ * 1e6
+def _add_flags(group, rows) -> None:
+    for flag, path, help_ in rows:
+        section, key = path.split(".")
+        spec = SCENARIO_SCHEMA[section][key]
+        choices = spec.choices or None
+        group.add_argument(
+            flag, dest=path, type=_flag_type(path, spec), choices=choices,
+            action="append" if spec.kind == "mixes" else "store",
+            default=argparse.SUPPRESS, help=help_,
+            metavar=_METAVARS.get(flag, None if choices else
+                                  flag[2:].upper().replace("-", "_")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,88 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.serve",
         description="Batched inference serving over a multi-chip VIP fleet.",
     )
-    fleet = parser.add_argument_group("fleet")
-    fleet.add_argument("--chips", type=_positive_int, default=4)
-    fleet.add_argument("--policy", choices=POLICIES, default="least-loaded")
-    fleet.add_argument("--degraded", type=_ints, default=(),
-                       help="comma-separated chip ids running the "
-                            "fault-injected (ECC-correcting) service "
-                            "times from repro.faults")
-    batching = parser.add_argument_group("admission and batching")
-    batching.add_argument("--max-batch", type=_positive_int, default=8)
-    batching.add_argument("--max-wait", type=_positive_float,
-                          default=20_000.0,
-                          help="batch close deadline in cycles")
-    batching.add_argument("--queue-capacity", type=_positive_int, default=64)
-    batching.add_argument("--shed-policy", choices=SHED_POLICIES,
-                          default="drop-newest")
-    workload = parser.add_argument_group("workload")
-    workload.add_argument("--arrival", choices=ARRIVALS, default="poisson")
-    workload.add_argument("--rate", type=_positive_float, default=50_000.0,
-                          help="offered load in requests per simulated "
-                               "second")
-    workload.add_argument("--requests", type=_positive_int, default=200,
-                          help="requests per mix")
-    workload.add_argument("--seed", type=int, default=0)
-    workload.add_argument("--mix", action="append", choices=sorted(MIXES),
-                          help="workload mix (repeatable); default: "
-                               "bp and bp+vgg")
-    workload.add_argument("--num-tiles", type=_positive_int, default=8)
-    workload.add_argument("--burst-factor", type=_positive_float, default=8.0)
-    workload.add_argument("--burst-len", type=_positive_float, default=20.0)
-    failures = parser.add_argument_group("failure lifecycle")
-    failures.add_argument("--fail-chips", type=_nonneg_int, default=0,
-                          help="subject the first N chips to seeded "
-                               "fail-stop events (0 disables)")
-    failures.add_argument("--fail-slow-chips", type=_nonneg_int, default=0,
-                          help="subject the first N chips to fail-slow "
-                               "(straggler) windows")
-    failures.add_argument("--transient-chips", type=_nonneg_int, default=0,
-                          help="subject the first N chips to transient "
-                               "degraded-service windows")
-    failures.add_argument("--fail-seed", type=int, default=0,
-                          help="base seed of the failure lifecycle streams")
-    failures.add_argument("--mtbf-ms", type=_positive_float, default=2.4,
-                          help="mean simulated ms between fail-stop events")
-    failures.add_argument("--repair-ms", type=_positive_float, default=0.64,
-                          help="mean simulated ms to repair a fail-stop")
-    failures.add_argument("--fail-domains", type=_domains, default=(),
-                          metavar="SPEC",
-                          help="correlated failure domains as semicolon-"
-                               "separated chip-id groups, e.g. '0,1;2,3' "
-                               "(one seeded outage fails every member)")
-    failures.add_argument("--domain-mtbf-ms", type=_positive_float,
-                          default=4.0,
-                          help="mean simulated ms between domain outages")
-    failures.add_argument("--domain-repair-ms", type=_positive_float,
-                          default=0.48,
-                          help="mean simulated ms to repair a domain outage")
-    failures.add_argument("--domain-mode",
-                          choices=("fail-stop", "fail-slow"),
-                          default="fail-stop",
-                          help="what a domain outage does to member chips")
-    resilience = parser.add_argument_group("resilience")
-    resilience.add_argument("--health-interval-ms", type=_positive_float,
-                            default=0.02,
-                            help="health-check tick period (simulated ms)")
-    resilience.add_argument("--detect-latency-ms", type=_nonneg_float,
-                            default=0.0,
-                            help="extra detection latency after the tick")
-    resilience.add_argument("--health-fp-rate", type=_nonneg_float,
-                            default=0.0,
-                            help="health-check false-positive probability")
-    resilience.add_argument("--max-retries", type=_nonneg_int, default=3,
-                            help="re-dispatch budget per killed batch")
-    resilience.add_argument("--retry-deadline-ms", type=_positive_float,
-                            default=1.0,
-                            help="drop requests older than this instead of "
-                                 "retrying")
-    resilience.add_argument("--hedge-delay-ms", type=_nonneg_float,
-                            default=None,
-                            help="hedge a launch overrunning its healthy "
-                                 "estimate by this much (default: off)")
+    for title in ("fleet", "admission and batching", "workload",
+                  "failure lifecycle", "resilience"):
+        _add_flags(parser.add_argument_group(title), _FLAGS[title])
     policy = parser.add_argument_group("policy")
-    policy.add_argument("--policy-file", default=None,
+    policy.add_argument("--policy-file", dest="policy.file",
+                        default=argparse.SUPPRESS,
                         metavar="NAME_OR_PATH",
                         help="decision-tree policy set overriding the "
                              "schedule/shed/retry/hedge decisions "
@@ -212,71 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     autoscale.add_argument("--autoscale", action="store_true",
                            help="enable the simulated autoscaler "
                                 "(composes with --scenario)")
-    autoscale.add_argument("--autoscale-min", type=_positive_int, default=1,
-                           help="active-fleet floor")
-    autoscale.add_argument("--autoscale-max", type=_positive_int, default=8,
-                           help="active-fleet ceiling")
-    autoscale.add_argument("--autoscale-interval-ms", type=_positive_float,
-                           default=0.04,
-                           help="decision tick period (simulated ms)")
-    autoscale.add_argument("--autoscale-warmup-ms", type=_nonneg_float,
-                           default=0.04,
-                           help="provisioned chips serve nothing for "
-                                "this long")
-    autoscale.add_argument("--autoscale-cooldown-ms", type=_nonneg_float,
-                           default=0.16,
-                           help="hold-off between scale decisions")
-    cluster = parser.add_argument_group("cluster")
-    cluster.add_argument("--cluster-shards", type=_positive_int,
-                         default=None, metavar="N",
-                         help="shard the fleet into N independent fleets "
-                              "behind the cluster router (--chips becomes "
-                              "the per-shard size; composes with "
-                              "--scenario)")
-    cluster.add_argument("--cluster-router", choices=ROUTERS,
-                         default="least-loaded",
-                         help="routing policy over believed-alive shards")
-    cluster.add_argument("--cluster-gossip-ms", type=_positive_float,
-                         default=0.04,
-                         help="belief-refresh tick period (simulated ms); "
-                              "router beliefs are up to one tick stale")
-    cluster.add_argument("--cluster-failover-retries", type=_nonneg_int,
-                         default=1,
-                         help="cross-shard re-dispatch budget per request "
-                              "(0 disables failover)")
-    cluster.add_argument("--brownout-headroom", type=_positive_float,
-                         default=None,
-                         help="shed low-priority kinds cluster-wide when "
-                              "believed capacity fraction drops below "
-                              "this (default: off)")
-    cluster.add_argument("--brownout-kinds", type=_kinds, default=("fc",),
-                         help="comma-separated kinds shed during a "
-                              "brown-out (default: fc)")
+    _add_flags(autoscale, _FLAGS["autoscale"])
+    _add_flags(parser.add_argument_group("cluster"), _FLAGS["cluster"])
     scenario = parser.add_argument_group("scenario")
     scenario.add_argument("--scenario", default=None, metavar="NAME_OR_PATH",
                           help="run a declarative scenario file (library "
-                               "name or path); replaces every workload/"
-                               "fleet/failure/resilience flag — only run "
-                               "infrastructure flags (--out, --csv, "
-                               "--checkpoint, --resume, --workers) still "
-                               "apply")
+                               "name or path); other workload/fleet/"
+                               "failure/resilience/run flags are an error "
+                               "— only the --policy-file, --autoscale*, "
+                               "--cluster-* and --brownout-* overrides and "
+                               "run infrastructure flags (--out, --csv, "
+                               "--checkpoint, --resume, --workers) apply")
     scenario.add_argument("--list-scenarios", action="store_true",
                           help="list the named scenarios on the search "
                                "path and exit")
     run = parser.add_argument_group("run")
-    run.add_argument("--slo-ms", type=_positive_float, default=0.25,
-                     help="latency SLO in simulated milliseconds")
-    run.add_argument("--cost-model", choices=COST_MODELS, default="measured",
-                     help="how the service-time table is built: 'measured' "
-                          "simulates every launch shape; 'surrogate' "
-                          "simulates anchors and cross-validates a "
-                          "piecewise-linear fit (repro.serve.surrogate)")
-    run.add_argument("--surrogate-tolerance", type=_positive_float,
-                     default=DEFAULT_TOLERANCE,
-                     help="relative cycle tolerance of the surrogate's "
-                          "held-out validation (fallback to exact "
-                          "measurement beyond it)")
-    run.add_argument("--full", action="store_true",
+    _add_flags(run, _FLAGS["run"])
+    run.add_argument("--full", dest="run.quick", action="store_const",
+                     const=False, default=argparse.SUPPRESS,
                      help="paper-scale kernel geometry (default: quick)")
     run.add_argument("--workers", type=_positive_int, default=None,
                      help="pool size for cost-table measurement")
@@ -290,69 +289,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _document(args) -> dict:
+    """The scenario document the config flags given on the command line
+    describe (unset flags are absent, so the schema supplies them)."""
+    doc: dict = {}
+    for path, value in vars(args).items():
+        if "." in path:
+            section, key = path.split(".")
+            doc.setdefault(section, {})[key] = value
+    if not any(doc.get("failures", {}).get(key) for key in _FAILURE_MODES):
+        doc.pop("failures", None)
+        doc.pop("resilience", None)
+    autoscale = doc.pop("autoscale", {})
+    if args.autoscale:
+        doc["autoscale"] = autoscale
+    cluster = doc.pop("cluster", {})
+    if "shards" in cluster or "brownout_headroom" in cluster:
+        doc["cluster"] = {"shards": 1, **cluster}
+    return doc
+
+
 def _fmt_ms(cycles, clock_ghz: float) -> str:
     if cycles is None:
         return "-"
     return f"{cycles / (clock_ghz * 1e6):.3f}"
-
-
-def _failure_config(args) -> FailureConfig | None:
-    if not (args.fail_chips or args.fail_slow_chips
-            or args.transient_chips or args.fail_domains):
-        return None
-    counts = (args.fail_chips, args.fail_slow_chips, args.transient_chips)
-    if max(counts) > args.chips:
-        raise ConfigError(
-            f"failure chip count {max(counts)} exceeds --chips {args.chips}")
-    return FailureConfig(
-        seed=args.fail_seed,
-        fail_stop_chips=tuple(range(args.fail_chips)),
-        fail_stop_mtbf_cycles=_ms(args.mtbf_ms),
-        repair_mean_cycles=_ms(args.repair_ms),
-        fail_slow_chips=tuple(range(args.fail_slow_chips)),
-        transient_chips=tuple(range(args.transient_chips)),
-        domains=args.fail_domains,
-        domain_mtbf_cycles=_ms(args.domain_mtbf_ms),
-        domain_repair_mean_cycles=_ms(args.domain_repair_ms),
-        domain_mode=args.domain_mode,
-    )
-
-
-def _resilience_config(args) -> ResilienceConfig:
-    return ResilienceConfig(
-        health_check_interval_cycles=_ms(args.health_interval_ms),
-        detection_latency_cycles=_ms(args.detect_latency_ms),
-        health_false_positive_rate=args.health_fp_rate,
-        max_retries=args.max_retries,
-        retry_deadline_cycles=_ms(args.retry_deadline_ms),
-        hedge_delay_cycles=(_ms(args.hedge_delay_ms)
-                            if args.hedge_delay_ms is not None else None),
-    )
-
-
-def _cluster_config(args) -> ClusterConfig | None:
-    if args.cluster_shards is None and args.brownout_headroom is None:
-        return None
-    return ClusterConfig(
-        shards=args.cluster_shards or 1,
-        router=args.cluster_router,
-        gossip_interval_cycles=_ms(args.cluster_gossip_ms),
-        failover_retries=args.cluster_failover_retries,
-        brownout_headroom=args.brownout_headroom,
-        brownout_kinds=args.brownout_kinds,
-    )
-
-
-def _autoscale_config(args) -> AutoscaleConfig | None:
-    if not args.autoscale:
-        return None
-    return AutoscaleConfig(
-        min_chips=args.autoscale_min,
-        max_chips=args.autoscale_max,
-        evaluate_interval_cycles=_ms(args.autoscale_interval_ms),
-        warmup_cycles=_ms(args.autoscale_warmup_ms),
-        cooldown_cycles=_ms(args.autoscale_cooldown_ms),
-    )
 
 
 def _run(args) -> int:
@@ -376,68 +336,36 @@ def _run(args) -> int:
         return 0
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume requires --checkpoint PATH")
+    doc = _document(args)
     if args.scenario:
-        scenario = load_scenario(args.scenario)
-        mixes, quick = scenario.mixes, scenario.quick
-        config, workload = scenario.serve, scenario.workload
-        cost_model = scenario.cost_model
-        surrogate_tolerance = scenario.surrogate_tolerance
-        if args.policy_file:
-            config = replace(config,
-                             policy_set=load_policy(args.policy_file))
-        if args.autoscale:
-            config = replace(config, autoscale=_autoscale_config(args))
-        if args.cluster_shards is not None \
-                or args.brownout_headroom is not None:
-            config = replace(config, cluster=_cluster_config(args))
+        for path in vars(args):
+            if "." in path and path.split(".")[0] not in _OVERLAYS:
+                raise ConfigError(
+                    f"{_FLAG_OF[path]} ({path}) cannot be combined with "
+                    f"--scenario; set {path} in the scenario file")
+        loaded = load_scenario(args.scenario)
+        overlay = {section: doc[section] for section in _OVERLAYS
+                   if section in doc}
+        scenario = scenario_from_document(
+            {**loaded.document, **overlay}, name=loaded.name,
+            source=loaded.source)
         print(f"scenario {scenario.name}: "
               f"{scenario.description or '(no description)'}")
     else:
-        cost_model = args.cost_model
-        surrogate_tolerance = args.surrogate_tolerance
-        mixes = tuple(args.mix) if args.mix else ("bp", "bp+vgg")
-        quick = not args.full
-        failures = _failure_config(args)
-        config = ServeConfig(
-            chips=args.chips,
-            policy=args.policy,
-            max_batch=args.max_batch,
-            max_wait_cycles=args.max_wait,
-            queue_capacity=args.queue_capacity,
-            shed_policy=args.shed_policy,
-            degraded_chips=args.degraded,
-            slo_cycles=_ms(args.slo_ms),
-            failures=failures,
-            resilience=(_resilience_config(args)
-                        if failures is not None else None),
-            policy_set=(load_policy(args.policy_file)
-                        if args.policy_file else None),
-            autoscale=_autoscale_config(args),
-            cluster=_cluster_config(args),
-        )
-        workload = WorkloadConfig(
-            mix=mixes[0],
-            arrival=args.arrival,
-            rate=args.rate,
-            requests=args.requests,
-            seed=args.seed,
-            num_tiles=args.num_tiles,
-            burst_factor=args.burst_factor,
-            burst_len=args.burst_len,
-        )
+        scenario = scenario_from_document(doc)
+    config, mixes, quick = scenario.serve, scenario.mixes, scenario.quick
     checkpoint = None
     if args.checkpoint:
         checkpoint = TaskCheckpoint(
             args.checkpoint,
-            meta=checkpoint_meta(config, mixes, quick, cost_model),
+            meta=checkpoint_meta(config, mixes, quick, scenario.cost_model),
             resume=args.resume)
     try:
-        payload, runs = run_report(workload, config, mixes=mixes,
-                                   quick=quick,
-                                   max_workers=args.workers,
-                                   checkpoint=checkpoint,
-                                   cost_model=cost_model,
-                                   surrogate_tolerance=surrogate_tolerance)
+        payload, runs = run_report(
+            scenario.workload, config, mixes=mixes, quick=quick,
+            max_workers=args.workers, checkpoint=checkpoint,
+            cost_model=scenario.cost_model,
+            surrogate_tolerance=scenario.surrogate_tolerance)
     finally:
         if checkpoint is not None:
             checkpoint.close()

@@ -3,12 +3,13 @@
 A *scenario* is a YAML/JSON document describing one end-to-end serving
 experiment — workload mix, fleet size and scheduler policy, batching and
 admission knobs, failure timeline, resilience defenses, and SLO target —
-that compiles to the exact :class:`~repro.serve.workload.WorkloadConfig`
-and :class:`~repro.serve.fleet.ServeConfig` the batch CLI builds from
-argparse flags.  Batch runs (``python -m repro.serve --scenario``) and
-the online control plane (:mod:`repro.serve.control`) load the same
-files through the same loader, so a named experiment means one thing
-everywhere and produces byte-identical reports over either path.
+that compiles to a :class:`~repro.serve.workload.WorkloadConfig` and a
+:class:`~repro.serve.fleet.ServeConfig`.  :func:`scenario_from_document`
+is the one compile path for serving runs: the batch CLI turns its flags
+into a document and compiles it here, ``--scenario`` files and the
+online control plane (:mod:`repro.serve.control`) load theirs through
+the same loader, so a named experiment means one thing everywhere and
+produces byte-identical reports over every path.
 
 The document is validated against a typed schema before compiling:
 unknown keys, type errors, and out-of-range values raise
@@ -16,11 +17,11 @@ unknown keys, type errors, and out-of-range values raise
 (``scenario.workload.rate: must be > 0``), which both CLIs surface as
 the structured one-line ``error: config:`` exit-2 convention.
 
-Time-valued knobs use the units the batch CLI uses: ``*_ms`` fields are
-simulated milliseconds (converted at the 1.25 GHz PE clock), and
-``max_wait_cycles`` is PE cycles, mirroring ``--max-wait``.  Chip sets
-(``fail_stop_chips`` etc.) accept either a count N (the first N chips,
-like ``--fail-chips N``) or an explicit id list (richer than the CLI).
+Time-valued knobs are simulated milliseconds in ``*_ms`` fields
+(converted at the 1.25 GHz PE clock) and PE cycles in
+``max_wait_cycles`` (``--max-wait``).  Chip sets (``fail_stop_chips``
+etc.) accept either a count N (the first N chips, what ``--fail-chips
+N`` writes) or an explicit id list (richer than the CLI).
 
 Three optional sections extend a scenario beyond the flag surface: an
 ``autoscale`` section (knobs for :class:`~repro.serve.autoscale.
@@ -37,8 +38,9 @@ Correlated failure domains live in the ``failures`` section
 or without a cluster.
 
 YAML support is a deliberately small built-in subset — nested mappings
-by indentation, ``- item`` lists, inline ``[a, b]`` lists, scalars
-(int/float/bool/null/strings), ``#`` comments — so scenario files need
+by indentation, ``- item`` lists, inline ``[a, b]`` lists (nestable,
+quoted items may hold commas), scalars (int/float/bool/null/plain and
+quoted strings), ``#`` comments — so scenario files need
 no third-party parser.  JSON documents (``.json`` or a leading ``{``)
 are parsed with the stdlib.  Named scenarios are looked up in
 ``examples/scenarios/`` (working directory first, then the repo
@@ -96,13 +98,37 @@ def _strip_comment(text: str) -> str:
     return text
 
 
+def _split_inline(inner: str) -> list:
+    """Split an inline list's body on its top-level commas: commas inside
+    nested ``[...]`` lists and quoted items stay with their item."""
+    parts, start, depth, quote, prev = [], 0, 0, None, ","
+    for i, ch in enumerate(inner):
+        if quote is not None:
+            if ch == quote:
+                quote, prev = None, ch
+            continue
+        if ch in "\"'" and prev in "[,":
+            quote = ch  # a quote opens only at the start of an item
+        elif ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+        if not ch.isspace():
+            prev = ch
+    parts.append(inner[start:])
+    return parts
+
+
 def _parse_scalar(text: str, lineno: int):
     text = text.strip()
     if text.startswith("[") and text.endswith("]"):
         inner = text[1:-1].strip()
         if not inner:
             return []
-        return [_parse_scalar(part, lineno) for part in inner.split(",")]
+        return [_parse_scalar(part, lineno) for part in _split_inline(inner)]
     if (len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'"):
         return text[1:-1]
     if text in ("null", "~", "None"):
@@ -210,11 +236,13 @@ class _Field:
     nullable: bool = False
 
 
-#: section -> field -> spec.  Defaults mirror the batch CLI exactly, so
-#: an empty document compiles to the same run as flag-less ``repro.serve``.
+#: section -> field -> spec: the only copy of each serving knob's
+#: default, type, bounds and choices.  The batch CLI derives its flags
+#: from these fields, so an empty document is the flag-less run.
 SCENARIO_SCHEMA = {
     "workload": {
-        "mix": _Field("mixes", default=("bp", "bp+vgg")),
+        "mix": _Field("mixes", default=("bp", "bp+vgg"),
+                      choices=tuple(sorted(MIXES))),
         "arrival": _Field("str", default="poisson", choices=ARRIVALS),
         "rate": _Field("float", default=50_000.0, min=0,
                        min_exclusive=True),
@@ -360,7 +388,9 @@ def _check_scalar(value, spec: _Field, path: str):
     return value
 
 
-def _check_field(value, spec: _Field, path: str):
+def check_field(value, spec: _Field, path: str):
+    """Validate one field's raw document value; returns the checked
+    value (lists become tuples, ints widen to float where declared)."""
     if spec.kind == "domains":
         if not isinstance(value, list) or any(
                 not isinstance(d, list) for d in value):
@@ -412,9 +442,9 @@ def _check_field(value, spec: _Field, path: str):
             raise ConfigError(f"{path}: expected a mix name or a list of "
                               f"mix names, got {value!r}")
         for v in value:
-            if v not in MIXES:
+            if v not in spec.choices:
                 raise ConfigError(f"{path}: unknown mix {v!r}; choose "
-                                  f"from {sorted(MIXES)}")
+                                  f"from {list(spec.choices)}")
         if len(set(value)) != len(value):
             raise ConfigError(f"{path}: duplicate mix names in {value!r}")
         return tuple(value)
@@ -453,8 +483,8 @@ def validate_document(doc: dict) -> dict:
                     f"scenario.{section}.{key}: unknown key; known keys: "
                     f"{', '.join(sorted(fields_))}")
         out[section] = {
-            key: _check_field(given[key], spec,
-                              f"scenario.{section}.{key}")
+            key: check_field(given[key], spec,
+                             f"scenario.{section}.{key}")
             if key in given else spec.default
             for key, spec in fields_.items()
         }

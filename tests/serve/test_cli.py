@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from repro.serve.cli import main
 
 
@@ -94,6 +96,21 @@ def test_argparse_bounds_reject_nonsense(capsys):
             main(argv)
         assert excinfo.value.code == 2
     capsys.readouterr()  # swallow argparse usage noise
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["--mix", "bp", "--mix", "bp"], "scenario.workload.mix"),
+    (["--brownout-kinds", "fc,fc"], "scenario.cluster.brownout_kinds"),
+])
+def test_duplicate_names_exit_2_with_the_schema_path(argv, path, capsys):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag's own value
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{path}: duplicate" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_resume_report_is_byte_identical(tmp_path):

@@ -50,6 +50,18 @@ def test_yaml_subset_parses_nested_maps_lists_and_scalars():
     assert doc["run"]["note"] == "a # quoted string"
 
 
+def test_yaml_nested_inline_lists_parse_as_lists():
+    doc = parse_simple_yaml("fleet:\n  chips: 4\n"
+                            "failures:\n  domains: [[0, 1], [2, 3]]\n")
+    assert doc["failures"]["domains"] == [[0, 1], [2, 3]]
+    scenario = scenario_from_document(doc)
+    assert scenario.serve.failures.domains == ((0, 1), (2, 3))
+
+
+def test_yaml_inline_list_keeps_commas_inside_quotes():
+    assert parse_simple_yaml('a: ["a, b", c]\n') == {"a": ["a, b", "c"]}
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("", "empty document"),
     ("a:\n\tb: 1", "tabs in indentation"),
@@ -270,31 +282,79 @@ def test_json_scenario_files_load(tmp_path):
 # CLI integration
 
 
-def _small_scenario(tmp_path, **extra):
-    doc = ("description: cli equivalence\n"
-           "workload:\n"
-           "  mix: bp\n"
-           "  rate: 150000\n"
-           "  requests: 25\n"
-           "fleet:\n"
-           "  chips: 2\n"
-           "batching:\n"
-           "  max_batch: 3\n")
-    path = tmp_path / "small.yaml"
-    path.write_text(doc)
-    return path
+_SMALL_FLAGS = ["--chips", "2", "--requests", "25", "--rate", "150000",
+                "--mix", "bp", "--max-batch", "3"]
+_SMALL_DOC = {"workload": {"mix": "bp", "rate": 150000, "requests": 25},
+              "fleet": {"chips": 2}, "batching": {"max_batch": 3}}
+
+#: flag family -> (extra flags, the scenario sections they stand for).
+_FLAG_FAMILIES = {
+    "base": ([], {}),
+    "failures-resilience": (
+        ["--fail-chips", "1", "--mtbf-ms", "0.3", "--repair-ms", "0.1",
+         "--max-retries", "2", "--hedge-delay-ms", "0.05"],
+        {"failures": {"fail_stop_chips": 1, "mtbf_ms": 0.3,
+                      "repair_ms": 0.1},
+         "resilience": {"max_retries": 2, "hedge_delay_ms": 0.05}}),
+    "fail-domains": (
+        ["--fail-domains", "0,1", "--domain-mtbf-ms", "0.2"],
+        {"failures": {"domains": [[0, 1]], "domain_mtbf_ms": 0.2}}),
+    "autoscale": (["--autoscale", "--autoscale-max", "4"],
+                  {"autoscale": {"max_chips": 4}}),
+    "cluster-shards": (["--cluster-shards", "2"], {"cluster": {"shards": 2}}),
+    # A brown-out alone makes a one-shard cluster, not the schema's two.
+    "brownout-alone": (["--brownout-headroom", "0.5"],
+                       {"cluster": {"shards": 1, "brownout_headroom": 0.5}}),
+    "policy-file": (["--policy-file", "pressure-shed"],
+                    {"policy": {"file": "pressure-shed"}}),
+    "degraded": (["--degraded", "1"], {"fleet": {"degraded_chips": [1]}}),
+    "surrogate": (["--cost-model", "surrogate"],
+                  {"run": {"cost_model": "surrogate"}}),
+}
 
 
-def test_cli_scenario_matches_equivalent_flags_byte_for_byte(tmp_path):
+def _scenario_yaml(doc: dict) -> str:
+    """A two-level scenario document; list values become block lists."""
+    lines = ["description: cli equivalence"]
+    for section, fields in doc.items():
+        lines.append(f"{section}:")
+        for key, value in fields.items():
+            if isinstance(value, list):
+                lines.append(f"  {key}:")
+                lines += [f"    - {item}" for item in value]
+            else:
+                lines.append(f"  {key}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", list(_FLAG_FAMILIES))
+def test_cli_scenario_matches_equivalent_flags_byte_for_byte(tmp_path,
+                                                              family):
+    flags, sections = _FLAG_FAMILIES[family]
     flags_out = tmp_path / "flags.json"
     scenario_out = tmp_path / "scenario.json"
-    assert main(["--chips", "2", "--requests", "25", "--rate", "150000",
-                 "--mix", "bp", "--max-batch", "3",
-                 "--out", str(flags_out)]) == 0
-    path = _small_scenario(tmp_path)
+    assert main(_SMALL_FLAGS + flags + ["--out", str(flags_out)]) == 0
+    doc = {section: {**_SMALL_DOC.get(section, {}),
+                     **sections.get(section, {})}
+           for section in {**_SMALL_DOC, **sections}}
+    path = tmp_path / "small.yaml"
+    path.write_text(_scenario_yaml(doc))
     assert main(["--scenario", str(path),
                  "--out", str(scenario_out)]) == 0
     assert flags_out.read_bytes() == scenario_out.read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--requests", "5"], ["--fail-chips", "1"],
+                                  ["--full"]])
+def test_cli_rejects_config_flags_alongside_scenario(flag, capsys):
+    assert main(["--scenario", "steady-bp"] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: " + flag[0])
+    assert len(err.strip().splitlines()) == 1
+    path = {"--requests": "workload.requests",
+            "--fail-chips": "failures.fail_stop_chips",
+            "--full": "run.quick"}[flag[0]]
+    assert f"({path})" in err
 
 
 def test_cli_rejects_malformed_scenario_with_field_path(tmp_path, capsys):
