@@ -18,11 +18,11 @@ All integer math here is done in numpy ``int64`` so intermediate products of
 
 Every helper is shape-agnostic: saturation and the fractional shift are
 elementwise, so an operand may be a scalar, a vector, a matrix, or a
-stacked ``(N, ...)`` block of independent operands.  The vectorized PE
-stepping path (:mod:`repro.pe.batch`) relies on this to push a whole
-queue of same-shape vector ops through one ufunc call — the per-element
-results are bit-identical to N separate calls by construction, because
-no helper's behavior depends on array rank.
+stacked ``(N, ...)`` block of independent operands.  The PE's vector
+unit (:mod:`repro.pe.vector_unit`) relies on this to run a whole ``m.v``
+matrix, broadcast against its vector, through one ufunc call — the
+per-element results are bit-identical to per-row calls by construction,
+because no helper's behavior depends on array rank.
 """
 
 from __future__ import annotations
@@ -122,15 +122,6 @@ def saturate(values, bits: int):
         arr = arr.copy()
     if arr.ndim == 0:
         return np.clip(arr, lo, hi)
-    return _clamp_inplace(arr, lo, hi)
-
-
-def saturate_inplace(arr: np.ndarray, bits: int) -> np.ndarray:
-    """Clamp an integer array the caller owns to the signed range of
-    ``bits``, in place — the no-copy building block behind
-    :func:`saturate` for hot paths that already hold a fresh int64
-    intermediate."""
-    lo, hi = _bounds_or_raise(bits)
     return _clamp_inplace(arr, lo, hi)
 
 

@@ -20,8 +20,11 @@ class HazardMode(enum.Enum):
     The paper notes the ARC *could* be extended to interlock the vector
     pipeline at some hardware cost; ``STALL`` models exactly that
     conservative extension and is the default because generated kernels then
-    get correct timing without perfect static scheduling.  ``ERROR`` is the
-    strict mode used in tests to prove a kernel is validly scheduled.
+    get correct timing without perfect static scheduling.  ``ERROR`` raises
+    :class:`~repro.errors.TimingHazardError` at the first scratchpad hazard
+    that ``STALL`` would wait out.  No generated kernel is scheduled for it
+    yet: every simulator kernel in ``repro.perf.bench`` relies on the
+    interlock and raises under ``ERROR``, so only unit tests use the mode.
     """
 
     STALL = "stall"
@@ -53,16 +56,15 @@ class PEConfig:
     instruction_buffer_entries: int = 1024
     branch_taken_penalty: int = 1
     hazard_mode: HazardMode = HazardMode.STALL
-    #: Execution strategy for the PE hot loop.  ``False`` is the
-    #: straight-line reference path used for cross-checking; ``True`` adds
+    #: Execution strategy for the PE hot loop.  ``True`` (the default) is
     #: the pre-decoded dispatch loop with pre-resolved scalar handlers
-    #: (``repro.pe.decode``); ``"vector"`` (the default) further batches
-    #: runs of same-shaped vector instructions through NumPy
-    #: (``repro.pe.batch``).  Timing, counters and scratchpad state are
-    #: identical in every mode (enforced by
+    #: (``repro.pe.decode``); ``False`` is the straight-line reference
+    #: interpreter used for cross-checking.  Timing, counters and
+    #: scratchpad state are identical in both (enforced by
+    #: ``tests/system/test_program_fuzz.py``,
     #: ``tests/perf/test_fastpath_equiv.py`` and ``repro.perf.bench
     #: --compare``).
-    fast_path: bool | str = "vector"
+    fast_path: bool = True
     #: Event sink for the tracing subsystem (``repro.trace``); the default
     #: null sink records nothing and adds no per-event work.
     trace: TraceSink = field(default=NULL_TRACE, compare=False)
@@ -78,11 +80,9 @@ class PEConfig:
             raise ConfigError("datapath width must be a whole number of bytes")
         if self.arc_entries <= 0 or self.max_outstanding_mem <= 0:
             raise ConfigError("resource capacities must be positive")
-        if self.fast_path not in (False, True, "vector"):
+        if not isinstance(self.fast_path, bool):
             raise ConfigError(
-                f"fast_path must be False, True or 'vector', "
-                f"not {self.fast_path!r}"
-            )
+                f"fast_path must be True or False, not {self.fast_path!r}")
 
     @property
     def datapath_bytes(self) -> int:

@@ -33,7 +33,6 @@ from repro.errors import SimulationError, TimingHazardError
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import Program
 from repro.pe.arc import ArrayRangeCheck
-from repro.pe.batch import VectorOpQueue
 from repro.pe.config import HazardMode, PEConfig
 from repro.pe.decode import (
     SHAPE_LDST_SRAM,
@@ -177,14 +176,6 @@ class PE:
             self._fl.sp_power_on(self)
         self._hazard_on = cfg.hazard_mode is not HazardMode.IGNORE
         self._dpb = cfg.datapath_bytes
-        # Vector-op batch queue for the "vector" fast path: defers only the
-        # functional scratchpad effect of vector instructions.  Traced or
-        # fault-injected runs keep eager execution so per-instruction event
-        # attribution and fault hooks are unchanged.
-        self._vq = (VectorOpQueue()
-                    if (cfg.fast_path == "vector" and self._tr is None
-                        and self._fl is None)
-                    else None)
         self.arc = ArrayRangeCheck(cfg.arc_entries, pe_id=self.pe_id,
                                    trace=cfg.trace)
         self.counters = PECounters()
@@ -206,8 +197,6 @@ class PE:
                 f"program of {len(program)} instructions exceeds the "
                 f"{self.config.instruction_buffer_entries}-entry buffer"
             )
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
         self.program = program
         self.pc = 0
         self.status = PEStatus.RUNNING
@@ -572,19 +561,7 @@ class PE:
         if done > self._vec_last_done:
             self._vec_last_done = done
 
-        # Functional execution.  The "vector" fast path defers the
-        # scratchpad effect into the batch queue (flushed before anything
-        # can observe the bytes — see repro.pe.batch); timing, stalls and
-        # counters above are always computed eagerly, per instruction.
-        vq = self._vq
-        if vq is not None:
-            vq.push(self, instr.opcode, vop, instr.hop, instr.width,
-                    rows, cols, src1, src2, dst, reads, writes)
-            if instr.opcode is Opcode.MV:
-                self.counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
-            else:
-                self.counters.vector_alu_ops += cols
-        elif instr.opcode is Opcode.MV:
+        if instr.opcode is Opcode.MV:
             matrix = self.sp.read_vector(src1, rows * cols, instr.width).reshape(rows, cols)
             vector = self.sp.read_vector(src2, cols, instr.width)
             vert = apply_vertical(vop, matrix, vector[None, :], instr.width, self.fx)
@@ -593,7 +570,7 @@ class PE:
             self.counters.vector_alu_ops += rows * cols * (1 if vop == "nop" else 2)
         elif instr.opcode is Opcode.VV:
             a = self.sp.read_vector(src1, cols, instr.width)
-            b = self.sp.read_vector(self._read_reg(instr.rs2), cols, instr.width)
+            b = self.sp.read_vector(src2, cols, instr.width)
             self.sp.write_vector(dst, apply_vertical(vop, a, b, instr.width, self.fx), instr.width)
             self.counters.vector_alu_ops += cols
         else:
@@ -697,8 +674,6 @@ class PE:
     # -- load-store instructions -----------------------------------------
 
     def _exec_ld_sram(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
         esz = instr.width // 8
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_dst = self._read_reg(instr.rd)
@@ -742,8 +717,6 @@ class PE:
         self._retire(t)
 
     def _exec_st_sram(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
         esz = instr.width // 8
         t = self._reg_ready(self.clock, instr.rd, instr.rs1, instr.rs2)
         sp_src = self._read_reg(instr.rd)
@@ -971,8 +944,6 @@ class PE:
         self._retire(t)
 
     def _exec_halt(self, instr: Instruction) -> None:
-        if self._vq is not None and self._vq.ops:
-            self._vq.flush(self)
         t = max(self.clock, self._vec_last_done, self._lsu_port_free)
         if self._outstanding:
             t = max(t, max(self._outstanding))

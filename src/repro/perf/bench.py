@@ -42,11 +42,6 @@ Benches:
   batch ceiling, measured twice: the exhaustive builder versus the
   cross-validated surrogate (:mod:`repro.serve.surrogate`); records the
   cold-start speedup and the surrogate's holdout-validation summary.
-* ``vectorized-step`` (macro) — the batched FC kernel under the
-  ``fast_path="vector"`` batch-stepping mode versus the scalar
-  pre-decoded fast path, asserting byte-identical outcomes before
-  timing, and placing the sustained throughput under the single-PE
-  roofline (a point above the roof means dropped cycles, so it gates).
 
 Candidate-vs-baseline timings (``--compare`` speedups, the cold-start
 pair) interleave their repeats round-robin within one loop, so slow
@@ -77,14 +72,13 @@ from repro.isa.builder import ProgramBuilder
 from repro.isa.program import Program
 from repro.pe.config import PEConfig
 from repro.pe.counters import PECounters
-from repro.perf.roofline import Roofline, point_from_counters, validate_point
 
 SCHEMA = "repro.perf.bench/v1"
 
 MICRO_BENCHES = ("fixedpoint-sat", "pe-vector")
 MACRO_BENCHES = ("vault-bp-tile", "gibbs-sweep", "conv-pass", "fc-chunk",
                  "serve-fleet", "serve-resilience", "serve-autoscale",
-                 "serve-cluster", "serve-cold-start", "vectorized-step")
+                 "serve-cluster", "serve-cold-start")
 ALL_BENCHES = MICRO_BENCHES + MACRO_BENCHES
 
 #: Single-kernel simulator benches with a reference (fast_path=False)
@@ -193,7 +187,7 @@ def _run_vault_bp_tile(fast_path: bool, quick: bool, faults=NO_FAULTS) -> Kernel
                      tuple(pe.scratchpad.copy() for pe in chip.pes))
 
 
-def _run_gibbs_sweep(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
+def _run_gibbs_sweep(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
     from repro.kernels.gibbs_kernel import (
         GibbsTileLayout,
         build_vault_phase_programs,
@@ -267,10 +261,9 @@ def _run_fc_chunk(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
                      (pe.scratchpad.copy(),))
 
 
-def _run_fc_batch(fast_path, quick: bool, faults=NO_FAULTS) -> KernelRun:
-    """The batched FC kernel (B resident input chunks) — the shape the
-    vectorized stepping mode exists for: B back-to-back same-shape
-    ``m.v.mul.add`` ops per weight row batch into one numpy call."""
+def _run_fc_batch(fast_path: bool, quick: bool, faults=NO_FAULTS) -> KernelRun:
+    """The batched FC kernel (B resident input chunks): B back-to-back
+    same-shape ``m.v.mul.add`` ops per weight row."""
     from repro.kernels.fc_kernel import FCTileLayout, build_fc_partial_program
     from repro.memory.hmc import HMC
     from repro.pe.memoryif import LocalVaultMemory
@@ -707,39 +700,6 @@ def _bench_serve_cold_start(repeat: int, quick: bool, compare: bool) -> dict:
     return record
 
 
-def _bench_vectorized_step(repeat: int, quick: bool, compare: bool) -> dict:
-    runner = _SIM_RUNNERS["fc-batch"]
-    vec = runner("vector", quick)  # warmup both paths, then check first
-    scalar = runner(True, quick)
-    vec.assert_equal(scalar, "vectorized-step (vector vs scalar fast path)")
-    walls = _interleaved_best({"vector": lambda: runner("vector", quick),
-                               "scalar": lambda: runner(True, quick)},
-                              repeat)
-    point = point_from_counters("fc-batch", vec.counters, vec.cycles)
-    verdict = validate_point(point, Roofline.for_vip(num_pes=1))
-    if not verdict["within_roof"]:
-        raise AssertionError(
-            f"vectorized-step: sustained {verdict['gops']:.2f} GOPS "
-            f"exceeds the attainable single-PE roof "
-            f"{verdict['attainable_gops']:.2f} GOPS — the timing model "
-            f"dropped cycles")
-    record = {
-        "name": "vectorized-step",
-        "kind": "macro",
-        "wall_s": walls["vector"],
-        "sim_cycles": vec.cycles,
-        "cycles_per_wall_second": vec.cycles / walls["vector"],
-        "scalar_wall_s": walls["scalar"],
-        "vectorized_speedup": walls["scalar"] / walls["vector"],
-        "roofline": verdict,
-    }
-    if compare:
-        reference = runner(False, quick)
-        vec.assert_equal(reference, "vectorized-step (vector vs reference)")
-        record["reference_equal"] = True
-    return record
-
-
 def run_benches(names: tuple[str, ...] = ALL_BENCHES, repeat: int = 3,
                 quick: bool = False, compare: bool = False) -> list[dict]:
     """Run the named benches and return one JSON-able record per bench."""
@@ -757,8 +717,6 @@ def run_benches(names: tuple[str, ...] = ALL_BENCHES, repeat: int = 3,
             records.append(_bench_serve_cluster(repeat, quick, compare))
         elif name == "serve-cold-start":
             records.append(_bench_serve_cold_start(repeat, quick, compare))
-        elif name == "vectorized-step":
-            records.append(_bench_vectorized_step(repeat, quick, compare))
         else:
             records.append(_bench_sim(name, repeat, quick, compare))
     return records
@@ -1022,8 +980,6 @@ def main(argv: list[str] | None = None) -> int:
             line += f"  {r['cycles_per_wall_second'] / 1e3:10.1f} kcycle/s"
         if "speedup" in r:
             line += f"  {r['speedup']:5.2f}x vs reference"
-        if "vectorized_speedup" in r:
-            line += f"  {r['vectorized_speedup']:5.2f}x vs scalar step"
         if "cold_start_speedup" in r:
             line += f"  {r['cold_start_speedup']:5.2f}x vs measured"
         if "speedup_vs_baseline" in r:

@@ -29,7 +29,10 @@ outages that fail every member in one event).  Both compose with
 Each config flag sets one field of a scenario document that compiles
 through ``scenario_from_document`` like a scenario file, so
 ``SCENARIO_SCHEMA`` holds every knob's only default, type, bounds and
-choices.  Other config flags given with ``--scenario`` are rejected.
+choices.  Other config flags given with ``--scenario`` are rejected, and
+so is a flag whose section is off: a failure or resilience flag without
+a failure mode, an ``--autoscale-*`` flag without ``--autoscale``, or a
+cluster flag without ``--cluster-shards`` or ``--brownout-headroom``.
 
 Two runs of the same command write byte-identical JSON, and
 ``--workers N`` (parallel cost-table measurement) matches a serial run
@@ -197,9 +200,11 @@ _FLAGS = {
 _METAVARS = {"--fail-domains": "SPEC", "--cluster-shards": "N"}
 
 #: Failure modes; with none of them on, the other failure and resilience
-#: flags build no sections (as in a flag-less run).
+#: flags would have no effect and are rejected.
 _FAILURE_MODES = ("fail_stop_chips", "fail_slow_chips", "transient_chips",
                   "domains")
+_FAILURE_SWITCH = ("a failure mode (--fail-chips, --fail-slow-chips, "
+                   "--transient-chips or --fail-domains)")
 
 #: Document path -> the flag that sets it, for error messages.
 _FLAG_OF = {path: flag for rows in _FLAGS.values()
@@ -291,20 +296,39 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _document(args) -> dict:
     """The scenario document the config flags given on the command line
-    describe (unset flags are absent, so the schema supplies them)."""
+    describe (unset flags are absent, so the schema supplies them).
+
+    A flag whose section is not switched on would have no effect, so it
+    is a config error that names the switch."""
     doc: dict = {}
     for path, value in vars(args).items():
         if "." in path:
             section, key = path.split(".")
             doc.setdefault(section, {})[key] = value
-    if not any(doc.get("failures", {}).get(key) for key in _FAILURE_MODES):
-        doc.pop("failures", None)
-        doc.pop("resilience", None)
+    failing = any(doc.get("failures", {}).get(key) for key in _FAILURE_MODES)
+    cluster = doc.get("cluster", {})
+    # section -> (switched on, what switches it on)
+    switches = {
+        "failures": (failing, _FAILURE_SWITCH),
+        "resilience": (failing, _FAILURE_SWITCH),
+        "autoscale": (args.autoscale, "--autoscale"),
+        "cluster": ("shards" in cluster or "brownout_headroom" in cluster,
+                    "--cluster-shards or --brownout-headroom"),
+    }
+    for section, fields in doc.items():
+        on, switch = switches.get(section, (True, None))
+        for key in fields:
+            if on or (section == "failures" and key in _FAILURE_MODES):
+                continue
+            path = f"{section}.{key}"
+            raise ConfigError(f"{_FLAG_OF[path]} ({path}) has no effect "
+                              f"without {switch}")
+    if not failing:
+        doc.pop("failures", None)  # failure modes explicitly set to 0
     autoscale = doc.pop("autoscale", {})
     if args.autoscale:
         doc["autoscale"] = autoscale
-    cluster = doc.pop("cluster", {})
-    if "shards" in cluster or "brownout_headroom" in cluster:
+    if doc.pop("cluster", None) is not None:
         doc["cluster"] = {"shards": 1, **cluster}
     return doc
 
@@ -336,13 +360,14 @@ def _run(args) -> int:
         return 0
     if args.resume and not args.checkpoint:
         raise ConfigError("--resume requires --checkpoint PATH")
-    doc = _document(args)
     if args.scenario:
         for path in vars(args):
             if "." in path and path.split(".")[0] not in _OVERLAYS:
                 raise ConfigError(
                     f"{_FLAG_OF[path]} ({path}) cannot be combined with "
                     f"--scenario; set {path} in the scenario file")
+    doc = _document(args)
+    if args.scenario:
         loaded = load_scenario(args.scenario)
         overlay = {section: doc[section] for section in _OVERLAYS
                    if section in doc}

@@ -238,14 +238,14 @@ class TestRunStepBudget:
     def _nop_nop_halt():
         return assemble("nop\nnop\nhalt\n")
 
-    @pytest.mark.parametrize("fast_path", [False, True, "vector"])
+    @pytest.mark.parametrize("fast_path", [False, True])
     def test_program_of_exactly_n_steps_passes(self, fast_path):
         pe = PE(PEConfig(fast_path=fast_path))
         result = pe.run(self._nop_nop_halt(), max_steps=3)
         assert result.status is PEStatus.HALTED
         assert result.counters.instructions == 3
 
-    @pytest.mark.parametrize("fast_path", [False, True, "vector"])
+    @pytest.mark.parametrize("fast_path", [False, True])
     def test_one_step_short_raises(self, fast_path):
         pe = PE(PEConfig(fast_path=fast_path))
         with pytest.raises(SimulationError, match="exceeded 2 simulation steps"):

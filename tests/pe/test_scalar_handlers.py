@@ -18,7 +18,6 @@ from repro.pe.config import PEConfig
 from repro.pe.decode import predecode
 from repro.pe.pe import PE
 
-MODES = [False, True, "vector"]
 #: A small register window so sources, destinations and r0 collide often.
 REGS = st.integers(0, 5)
 #: Register values and immediates: small, anywhere in the signed 64-bit
@@ -84,8 +83,7 @@ def _run(program, regs, reg_time, clock, fast_path, penalty=1):
 def test_scalar_handlers_match_reference(case):
     program, regs, reg_time, clock = case
     reference = _run(program, regs, reg_time, clock, False)
-    for mode in MODES[1:]:
-        assert _run(program, regs, reg_time, clock, mode) == reference, mode
+    assert _run(program, regs, reg_time, clock, True) == reference
 
 
 @settings(max_examples=100, deadline=None)
@@ -95,7 +93,7 @@ def test_branch_penalty_is_not_baked_into_a_shared_program(case):
     program, regs, reg_time, clock = case
     for penalty in (1, 3, 1):
         reference = _run(program, regs, reg_time, clock, False, penalty)
-        fast = _run(program, regs, reg_time, clock, "vector", penalty)
+        fast = _run(program, regs, reg_time, clock, True, penalty)
         assert fast == reference, penalty
 
 
@@ -126,6 +124,5 @@ def test_generator_covers_the_tricky_cases():
         reference = _run(program, regs, reg_time, 1.0, False, penalty)
         assert reference["counters"].branches_taken == 2
         assert reference["counters"].stall_operand > 0
-        for mode in MODES[1:]:
-            got = _run(program, regs, reg_time, 1.0, mode, penalty)
-            assert got == reference, (mode, penalty)
+        got = _run(program, regs, reg_time, 1.0, True, penalty)
+        assert got == reference, penalty

@@ -144,3 +144,19 @@ def test_list_policies_prints_cluster_observables(capsys):
     for name in ("fleet.slo_headroom", "shard.slo_headroom",
                  "cluster.alive_shard_fraction", "queue.kind_depth.fc"):
         assert name in printed
+
+
+@pytest.mark.parametrize("flag,path,switch", [
+    (["--max-retries", "3"], "resilience.max_retries", "a failure mode"),
+    (["--mtbf-ms", "0.3"], "failures.mtbf_ms", "a failure mode"),
+    (["--autoscale-max", "4"], "autoscale.max_chips", "--autoscale"),
+    (["--cluster-router", "hash"], "cluster.router",
+     "--cluster-shards or --brownout-headroom"),
+])
+def test_flags_of_a_section_left_off_exit_2_naming_the_switch(
+        flag, path, switch, capsys):
+    assert main(["--chips", "2", "--requests", "30"] + flag) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: {flag[0]} ({path}) ")
+    assert switch in err
+    assert len(err.strip().splitlines()) == 1

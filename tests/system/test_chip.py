@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import DeadlockError, SimulationError
+from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.isa import ProgramBuilder, assemble
+from repro.pe.config import PEConfig
 from repro.system import Chip, VIPConfig
 
 
@@ -26,6 +27,15 @@ class TestConfig:
         assert cfg.vault_of_pe(0) == 0
         assert cfg.vault_of_pe(4) == 1
         assert cfg.vault_of_pe(127) == 31
+
+    def test_fast_path_is_a_bool(self):
+        assert PEConfig().fast_path is True
+        assert PEConfig(fast_path=False).fast_path is False
+
+    @pytest.mark.parametrize("value", ["vector", "True", 1, 0, None])
+    def test_fast_path_rejects_non_bools(self, value):
+        with pytest.raises(ConfigError, match="must be True or False"):
+            PEConfig(fast_path=value)
 
 
 class TestChipBasics:

@@ -30,7 +30,7 @@ from repro.pe.pe import PEStatus
 from repro.system.chip import BlockedReport, Chip
 from repro.system.config import VIPConfig
 
-MODES = [False, True, "vector"]
+MODES = [False, True]
 
 
 def reference_run(chip, programs):
@@ -355,7 +355,7 @@ def test_chip_run_matches_reference_scheduler(name, fast_path):
 
 def test_producer_consumer_really_blocks_and_wakes():
     """The scenario must exercise the wake scan, not just pass it by."""
-    chip, phases, _ = _producer_consumer("vector")
+    chip, phases, _ = _producer_consumer(True)
     blocks = 0
     original = chip.pes[1].step
 
@@ -375,7 +375,7 @@ def test_producer_consumer_really_blocks_and_wakes():
 def test_fifo_order_follows_the_issue_bound():
     """The fast producer's token must arrive first: PE 0's store may not
     run before its bound, however early PE 0 is popped."""
-    chip, phases, _ = _fe_fifo_order("vector")
+    chip, phases, _ = _fe_fifo_order(True)
     chip.run(phases[0])
     assert from_bytes(chip.hmc.store.read(FE_BASE + 0x1800, 8)) == 22
 
